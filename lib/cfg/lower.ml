@@ -15,9 +15,12 @@ type builder = {
       (** hashed {!Sema.classifier} over the program's globals and this
           procedure's formals: one table build per procedure instead of a
           global-list scan per identifier occurrence *)
-  mutable blocks_rev : (Ir.instr list * Ir.terminator option) list;
-      (** finished blocks, newest first; [None] terminator = fallthrough
-          placeholder fixed up when the successor is known *)
+  mutable instrs : Ir.instr list array;
+      (** finished block id -> its instructions, reversed; a growable
+          array, valid below [cur_id] *)
+  mutable terms : Ir.terminator option array;
+      (** finished block id -> terminator, parallel to [instrs]; [None] is
+          a placeholder {!patch}ed once the successor is known *)
   mutable cur : Ir.instr list;  (** current block's instructions, reversed *)
   mutable cur_id : int;
   mutable next_temp : int;
@@ -41,7 +44,17 @@ let emit b ins = b.cur <- ins :: b.cur
    Block ids are assigned sequentially, so the caller knows the id of the
    block about to start: it is [b.cur_id + 1]. *)
 let finish_block b term =
-  b.blocks_rev <- (b.cur, term) :: b.blocks_rev;
+  let cap = Array.length b.terms in
+  if b.cur_id = cap then begin
+    let n = max 16 (2 * cap) in
+    let instrs = Array.make n [] and terms = Array.make n None in
+    Array.blit b.instrs 0 instrs 0 cap;
+    Array.blit b.terms 0 terms 0 cap;
+    b.instrs <- instrs;
+    b.terms <- terms
+  end;
+  b.instrs.(b.cur_id) <- b.cur;
+  b.terms.(b.cur_id) <- term;
   b.cur <- [];
   b.cur_id <- b.cur_id + 1
 
@@ -127,27 +140,29 @@ and lower_stmt b (s : Ast.stmt) =
 
 (* Patch the (placeholder) terminator of an already-finished block. *)
 and patch b id term =
-  let idx_from_newest = b.cur_id - 1 - id in
-  let rec go i = function
-    | [] -> invalid_arg "Lower.patch: no such block"
-    | (instrs, old) :: tl when i = 0 ->
-        assert (old = None);
-        (instrs, Some term) :: tl
-    | hd :: tl -> hd :: go (i - 1) tl
-  in
-  b.blocks_rev <- go idx_from_newest b.blocks_rev
+  if id < 0 || id >= b.cur_id then invalid_arg "Lower.patch: no such block";
+  assert (b.terms.(id) = None);
+  b.terms.(id) <- Some term
 
-(* Remove blocks unreachable from the entry and remap ids. *)
+(* Remove blocks unreachable from the entry and remap ids.  The search is
+   tail-recursive over an explicit stack, so its depth does not follow the
+   nesting depth of the source. *)
 let prune_unreachable (cfg : Ir.cfg) : Ir.cfg =
   let n = Array.length cfg.Ir.blocks in
   let reach = Array.make n false in
-  let rec dfs i =
-    if not reach.(i) then begin
-      reach.(i) <- true;
-      List.iter dfs (Ir.successors cfg.Ir.blocks.(i))
+  let push stack s =
+    if reach.(s) then stack
+    else begin
+      reach.(s) <- true;
+      s :: stack
     end
   in
-  dfs cfg.Ir.entry;
+  let rec dfs = function
+    | [] -> ()
+    | i :: stack ->
+        dfs (List.fold_left push stack (Ir.successors cfg.Ir.blocks.(i)))
+  in
+  dfs (push [] cfg.Ir.entry);
   let remap = Array.make n (-1) in
   let count = ref 0 in
   Array.iteri
@@ -177,7 +192,8 @@ let lower_proc (prog : Ast.program) (p : Ast.proc) : Ir.proc =
       formals = p.Ast.formals;
       classify =
         Sema.classifier ~globals:prog.Ast.globals ~formals:p.Ast.formals;
-      blocks_rev = [];
+      instrs = [||];
+      terms = [||];
       cur = [];
       cur_id = 0;
       next_temp = 0;
@@ -187,15 +203,13 @@ let lower_proc (prog : Ast.program) (p : Ast.proc) : Ir.proc =
   lower_block b p.Ast.body;
   finish_block b (Some Ir.Ret);
   let blocks =
-    List.rev_map
-      (fun (instrs_rev, term) ->
+    Array.init b.cur_id (fun i ->
         {
-          Ir.instrs = Array.of_list (List.rev instrs_rev);
-          term = (match term with Some t -> t | None -> Ir.Ret);
+          Ir.instrs = Array.of_list (List.rev b.instrs.(i));
+          term = (match b.terms.(i) with Some t -> t | None -> Ir.Ret);
         })
-      b.blocks_rev
   in
-  let cfg = prune_unreachable { Ir.blocks = Array.of_list blocks; entry = 0 } in
+  let cfg = prune_unreachable { Ir.blocks; entry = 0 } in
   {
     Ir.name = p.Ast.pname;
     formals = Array.of_list (List.mapi (fun i f -> Ir.formal f i) p.Ast.formals);

@@ -16,7 +16,12 @@
     Every variable has an implicit {e entry definition} (version 0) in the
     entry block, whose lattice value the constant propagator takes from its
     entry environment — this is precisely the hook through which
-    interprocedural constants enter the intraprocedural analysis. *)
+    interprocedural constants enter the intraprocedural analysis.
+
+    Phi placement is semi-pruned (Briggs, Cooper, Harvey and Simpson):
+    only formals, globals and variables that some block reads before
+    defining get phis, so the temporaries lowering creates for compound
+    expressions get none. *)
 
 open Fsicp_lang
 open Fsicp_cfg
@@ -209,21 +214,34 @@ let conservative_effects ?(formals : Ir.var list = []) (prog : Ast.program) :
 let byref_array (args : Ir.arg array) : Ir.var option array =
   Array.map (fun (a : Ir.arg) -> a.Ir.a_byref) args
 
-(* Domain-local construction scratch: an epoch-stamped sparse map from
-   [Ir.Var.slot_key] to the procedure-local dense slot.  A key is bound
-   iff [stamp.(k) = epoch]; bumping the epoch invalidates every binding in
-   O(1), so consecutive [of_proc] calls on one domain share the arrays
-   without clearing.  [Domain.DLS] keeps the scratch race-free when
-   [Context.build_ssa] constructs procedures on several domains. *)
+(* Domain-local construction scratch, all indexed by [Ir.Var.slot_key]:
+   an epoch-stamped sparse map to the procedure-local dense slot (a key is
+   bound iff [stamp.(k) = epoch]; bumping the epoch invalidates every
+   binding in O(1), so consecutive [of_proc] calls on one domain share the
+   arrays without clearing), and [last_def]: the tag of the block that
+   last defined the key, or [-epoch] once the key is known non-local.
+   Block tags come from one counter that is never reset, and epochs are
+   positive, so a stale [last_def] entry can match neither the current
+   block nor the current epoch's mark.  [Domain.DLS] keeps the scratch
+   race-free when [Context.build_ssa] constructs procedures on several
+   domains. *)
 module Scratch = struct
   type t = {
     mutable epoch : int;
     mutable stamp : int array;
     mutable slot : int array;
+    mutable last_def : int array;
+    mutable block_tag : int;
   }
 
   let create () =
-    { epoch = 0; stamp = Array.make 4096 0; slot = Array.make 4096 0 }
+    {
+      epoch = 0;
+      stamp = Array.make 4096 0;
+      slot = Array.make 4096 0;
+      last_def = Array.make 4096 0;
+      block_tag = 0;
+    }
 
   let dls = Domain.DLS.new_key create
 
@@ -232,16 +250,22 @@ module Scratch = struct
     t.epoch <- t.epoch + 1;
     t
 
+  let next_block_tag t =
+    t.block_tag <- t.block_tag + 1;
+    t.block_tag
+
   let ensure t k =
     let cap = Array.length t.stamp in
     if k >= cap then begin
       let n = max (k + 1) (2 * cap) in
-      let stamp = Array.make n 0 in
-      Array.blit t.stamp 0 stamp 0 cap;
-      t.stamp <- stamp;
-      let slot = Array.make n 0 in
-      Array.blit t.slot 0 slot 0 cap;
-      t.slot <- slot
+      let grow a =
+        let a' = Array.make n 0 in
+        Array.blit a 0 a' 0 cap;
+        a'
+      in
+      t.stamp <- grow t.stamp;
+      t.slot <- grow t.slot;
+      t.last_def <- grow t.last_def
     end
 end
 
@@ -265,28 +289,49 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
      recorded globals and alias kills — deduplicated through the
      epoch-stamped {!Scratch} (no hashing, no [VarSet] trees) and sorted
      once by [slot_key], which induces exactly the order the original
-     [VarSet.elements]-based formulation produced. *)
+     [VarSet.elements]-based formulation produced.
+
+     The same pass finds the {e non-local} variables of semi-pruned SSA
+     (Briggs et al.): those some block reads before defining them itself.
+     Operands, call arguments, a call's recorded REF globals and [Cond]
+     operands are uses; assignments, alias kills and call MOD defs are
+     definitions.  Every [Ret] reads each formal and global (the exit
+     names), so those are non-local by kind.  Any other variable — every
+     compiler temporary among them — is read only after a definition in
+     its own block, so it needs no phi anywhere. *)
   let scratch = Scratch.get () in
   let epoch = scratch.Scratch.epoch in
   let acc = ref [] in
   let nv = ref 0 in
-  let note v =
+  let key v =
     let k = Ir.Var.slot_key v in
     Scratch.ensure scratch k;
     if scratch.Scratch.stamp.(k) <> epoch then begin
       scratch.Scratch.stamp.(k) <- epoch;
       acc := v :: !acc;
       incr nv
-    end
+    end;
+    k
   in
-  let note_op = function Ir.Const _ -> () | Ir.Var v -> note v in
+  let block_tag = ref 0 in
+  let note_use v =
+    let k = key v in
+    if scratch.Scratch.last_def.(k) <> !block_tag then
+      scratch.Scratch.last_def.(k) <- -epoch
+  in
+  let note_def v =
+    let k = key v in
+    if scratch.Scratch.last_def.(k) <> -epoch then
+      scratch.Scratch.last_def.(k) <- !block_tag
+  in
+  let note_op = function Ir.Const _ -> () | Ir.Var v -> note_use v in
   let note_rhs = function
     | Ir.Copy o | Ir.Unop (_, o) -> note_op o
     | Ir.Binop (_, a, b) ->
         note_op a;
         note_op b
   in
-  Array.iter note p.Ir.formals;
+  Array.iter (fun v -> ignore (key v)) p.Ir.formals;
   (* Per-instruction oracle caches, flat over the instruction ordinal. *)
   let ibase = Array.make (nblocks + 1) 0 in
   for b = 0 to nblocks - 1 do
@@ -303,6 +348,7 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
   let kill_memo : (int, Ir.var list) Hashtbl.t = Hashtbl.create 16 in
   Array.iteri
     (fun b (blk : Ir.block) ->
+      block_tag := Scratch.next_block_tag scratch;
       Array.iteri
         (fun i ins ->
           match ins with
@@ -314,11 +360,11 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
               let gs = effects.globals_used_by ~callee in
               call_ds.(iord b i) <- ds;
               call_gs.(iord b i) <- gs;
-              List.iter note ds;
-              List.iter note gs
+              List.iter note_use gs;
+              List.iter note_def ds
           | Ir.Assign (v, rhs) -> (
-              note v;
               note_rhs rhs;
+              note_def v;
               (* Only formals and globals can carry reference-parameter
                  aliases (both oracles answer [] for locals and temps), so
                  the oracle and the memo are skipped on the common case. *)
@@ -340,7 +386,7 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
                   in
                   if ks <> [] then begin
                     kill_at.(iord b i) <- ks;
-                    List.iter note ks
+                    List.iter note_def ks
                   end)
           | Ir.Print o -> note_op o)
         blk.Ir.instrs;
@@ -359,6 +405,12 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
   let slot_arr = scratch.Scratch.slot in
   Array.iteri (fun i k -> slot_arr.(k) <- i) var_keys;
   let[@inline] vidx v = slot_arr.(Ir.Var.slot_key v) in
+  let nonlocal (v : Ir.var) =
+    match v.Ir.vkind with
+    | Ir.Formal _ | Ir.Global -> true
+    | Ir.Local | Ir.Temp ->
+        scratch.Scratch.last_def.(Ir.Var.slot_key v) = -epoch
+  in
 
   (* -- Dense edge ids ------------------------------------------------ *)
   (* Out edges per block, numbered consecutively in successor order.  A
@@ -411,7 +463,8 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
   in
 
   (* -- Phi placement (iterated dominance frontier) ------------------- *)
-  (* Def-site blocks per variable as a CSR (entry block plus every assign,
+  (* Semi-pruned: only non-local variables get phis.
+     Def-site blocks per variable as a CSR (entry block plus every assign,
      kill and call def); the iterated-DF worklist is an int stack and the
      resulting (block, var) placements accumulate into one int buffer that
      a counting sort turns into the per-block phi lists — no cons cell is
@@ -497,18 +550,20 @@ let of_proc ?(effects : call_effects option) (prog : Ast.program)
     end
   in
   for v = 0 to nvars - 1 do
-    stamp := v + 1;
-    cur_v := v;
-    sp := 0;
-    seed cfg.Ir.entry;
-    for k = dcnt.(v) to dcnt.(v + 1) - 1 do
-      seed dpay.(k)
-    done;
-    while !sp > 0 do
-      decr sp;
-      let b = work.(!sp) in
-      List.iter visit df.(b)
-    done
+    if nonlocal vars.(v) then begin
+      stamp := v + 1;
+      cur_v := v;
+      sp := 0;
+      seed cfg.Ir.entry;
+      for k = dcnt.(v) to dcnt.(v + 1) - 1 do
+        seed dpay.(k)
+      done;
+      while !sp > 0 do
+        decr sp;
+        let b = work.(!sp) in
+        List.iter visit df.(b)
+      done
+    end
   done;
   for b = 0 to nblocks - 1 do
     phi_cnt.(b + 1) <- phi_cnt.(b + 1) + phi_cnt.(b)
@@ -1038,51 +1093,114 @@ let uses_of (p : proc) (id : int) : use_site list =
 (** All call instructions, as [(block, instr index, call)] in block order. *)
 let call_sites (p : proc) : (int * int * call) list = Array.to_list p.calls
 
-(** Structural invariants, raised upon by the test-suite:
+(** Structural invariants, checked by the test-suite:
     - every name has exactly one definition site;
-    - each phi has exactly one argument per predecessor;
-    - uses are reachable from their definitions (def dominates use for
-      instruction uses; for phi uses, def dominates the corresponding
-      predecessor block). *)
+    - each phi has exactly one argument per predecessor, and that
+      argument's block is the predecessor its edge comes from;
+    - every use is dominated by its definition: for an instruction or
+      terminator use (and a return's exit names, read at the [Ret]), the
+      def block dominates the use block, and within one block the def
+      comes first; for a phi argument, the def block dominates the
+      matching predecessor.  This is the property phi placement — pruned
+      or not — must keep. *)
 let validate (p : proc) : (unit, string) result =
-  let err fmt = Fmt.kstr (fun s -> Error s) fmt in
-  let seen = Array.make p.n_names false in
-  let def_block = Array.make p.n_names (-1) in
-  let ok = ref (Ok ()) in
-  let check_def n b =
-    if seen.(n.id) then ok := err "name %a defined twice" pp_name n
-    else begin
-      seen.(n.id) <- true;
-      def_block.(n.id) <- b
-    end
+  let exception Invalid of string in
+  let fail fmt = Fmt.kstr (fun s -> raise (Invalid s)) fmt in
+  let nblocks = Array.length p.blocks in
+  (* Dominator-tree preorder intervals: [a] dominates [b] iff
+     [pre a <= pre b <= last a].  The preorder walk keeps an explicit
+     stack; [last] then folds up the tree in reverse preorder. *)
+  let children = p.dom.Dominance.children in
+  let pre = Array.make nblocks (-1) and last = Array.make nblocks (-1) in
+  let order = Array.make nblocks 0 in
+  let n_reached = ref 0 in
+  let rec walk = function
+    | [] -> ()
+    | b :: stack ->
+        pre.(b) <- !n_reached;
+        order.(!n_reached) <- b;
+        incr n_reached;
+        walk (List.rev_append children.(b) stack)
   in
-  Array.iter (fun (_, n) -> check_def n p.entry) p.entry_names;
-  Array.iteri
-    (fun b (blk : block) ->
-      Array.iter (fun (ph : phi) -> check_def ph.p_name b) blk.phis;
-      Array.iter
-        (function
-          | Assign (n, _) -> check_def n b
-          | Kill kills -> Array.iter (fun (_, n) -> check_def n b) kills
-          | Call c -> Array.iter (fun (_, n) -> check_def n b) c.c_defs
-          | Print _ -> ())
-        blk.instrs)
-    p.blocks;
-  (match !ok with
-  | Error _ -> ()
-  | Ok () ->
-      Array.iteri
-        (fun b (blk : block) ->
-          let npreds = List.length p.preds.(b) in
-          Array.iter
-            (fun (ph : phi) ->
-              if Array.length ph.p_args <> npreds then
-                ok :=
-                  err "phi %a at B%d has %d args for %d preds" pp_name
-                    ph.p_name b (Array.length ph.p_args) npreds)
-            blk.phis)
-        p.blocks);
-  !ok
+  walk [ p.entry ];
+  for k = !n_reached - 1 downto 0 do
+    let b = order.(k) in
+    last.(b) <- List.fold_left (fun m c -> max m last.(c)) pre.(b) children.(b)
+  done;
+  let dominates a b = pre.(a) <= pre.(b) && pre.(b) <= last.(a) in
+  (* Def site of each name as (block, position): the entry definitions sit
+     before the entry block's phis (-2), phis at -1, instruction i at i. *)
+  let def_block = Array.make p.n_names (-1) in
+  let def_pos = Array.make p.n_names 0 in
+  let def b pos n =
+    if n.id < 0 || n.id >= p.n_names then fail "name %a has no id" pp_name n;
+    if def_block.(n.id) >= 0 then fail "name %a defined twice" pp_name n;
+    def_block.(n.id) <- b;
+    def_pos.(n.id) <- pos
+  in
+  let use b pos n =
+    if n.id < 0 || n.id >= p.n_names || def_block.(n.id) < 0 then
+      fail "name %a used at B%d but never defined" pp_name n b;
+    let db = def_block.(n.id) in
+    let ok =
+      if db = b then def_pos.(n.id) < pos
+      else pre.(b) < 0 (* an unreachable use is vacuous *) || dominates db b
+    in
+    if not ok then
+      fail "def of %a in B%d does not dominate its use in B%d" pp_name n db b
+  in
+  try
+    Array.iter (fun (_, n) -> def p.entry (-2) n) p.entry_names;
+    Array.iteri
+      (fun b (blk : block) ->
+        Array.iter (fun (ph : phi) -> def b (-1) ph.p_name) blk.phis;
+        Array.iteri
+          (fun i -> function
+            | Assign (n, _) -> def b i n
+            | Kill kills -> Array.iter (fun (_, n) -> def b i n) kills
+            | Call c -> Array.iter (fun (_, n) -> def b i n) c.c_defs
+            | Print _ -> ())
+          blk.instrs)
+      p.blocks;
+    let use_op b pos = function Oname n -> use b pos n | Oconst _ -> () in
+    Array.iteri
+      (fun b (blk : block) ->
+        let preds = Array.of_list p.preds.(b) in
+        Array.iter
+          (fun (ph : phi) ->
+            if Array.length ph.p_args <> Array.length preds then
+              fail "phi %a at B%d has %d args for %d preds" pp_name ph.p_name
+                b (Array.length ph.p_args) (Array.length preds);
+            Array.iteri
+              (fun k (pred, n) ->
+                if pred <> preds.(k) then
+                  fail "phi %a at B%d: argument %d comes from B%d, not B%d"
+                    pp_name ph.p_name b k pred preds.(k);
+                use pred max_int n)
+              ph.p_args)
+          blk.phis;
+        Array.iteri
+          (fun i -> function
+            | Assign (_, (Copy o | Unop (_, o))) | Print o -> use_op b i o
+            | Assign (_, Binop (_, x, y)) ->
+                use_op b i x;
+                use_op b i y
+            | Kill _ -> ()
+            | Call c ->
+                Array.iter (fun a -> use_op b i a.sa_operand) c.c_args;
+                Array.iter (fun (_, n) -> use b i n) c.c_global_uses)
+          blk.instrs;
+        let term_pos = Array.length blk.instrs in
+        match blk.term with
+        | Cond (c, _, _) -> use_op b term_pos c
+        | Goto _ | Ret -> ())
+      p.blocks;
+    List.iter
+      (fun (b, names) ->
+        Array.iter (fun (_, n) -> use b (Array.length p.blocks.(b).instrs) n) names)
+      p.exit_names;
+    Ok ()
+  with Invalid msg -> Error msg
 
 let pp_proc ppf (p : proc) =
   Fmt.pf ppf "ssa proc %s:@\n" p.name;

@@ -6,7 +6,9 @@
     {!instr.Kill} definitions, every variable has an implicit entry
     definition (version 0) whose value the interprocedural phase supplies,
     and each return block records the reaching version of every formal and
-    global (for the return-constants extension). *)
+    global (for the return-constants extension).  Phis are semi-pruned:
+    placed only for formals, globals and variables some block reads before
+    defining them. *)
 
 open Fsicp_lang
 open Fsicp_cfg
@@ -123,7 +125,7 @@ val conservative_effects : ?formals:Ir.var list -> Ast.program -> call_effects
 
 val byref_array : Ir.arg array -> Ir.var option array
 
-(** Build SSA for a lowered procedure. *)
+(** Build semi-pruned SSA for a lowered procedure. *)
 val of_proc : ?effects:call_effects -> Ast.program -> Ir.proc -> proc
 
 (** The variable's dense slot in this procedure's universe, or -1. *)
@@ -140,8 +142,9 @@ val uses_of : proc -> int -> use_site list
 (** All call instructions as [(block, instr index, call)], block order. *)
 val call_sites : proc -> (int * int * call) list
 
-(** Structural invariants: single definitions, one phi argument per
-    predecessor. *)
+(** Structural invariants: single definitions; one phi argument per
+    predecessor, from that predecessor; every use dominated by its
+    definition (for a phi argument, the matching predecessor is). *)
 val validate : proc -> (unit, string) result
 
 val pp_proc : proc Fmt.t

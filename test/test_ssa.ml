@@ -213,6 +213,157 @@ let prop_defs_total =
           && Array.length s.Ssa.use_sites >= s.Ssa.use_offsets.(s.Ssa.n_names))
         ctx.Fsicp_core.Context.pcg.Fsicp_callgraph.Callgraph.nodes)
 
+(* -- Semi-pruned phi placement ---------------------------------------- *)
+
+let phis_of (s : Ssa.proc) : (int * Ssa.phi) list =
+  Array.to_list s.Ssa.blocks
+  |> List.mapi (fun b (blk : Ssa.block) ->
+         List.map (fun ph -> (b, ph)) (Array.to_list blk.Ssa.phis))
+  |> List.concat
+
+let check_valid what (s : Ssa.proc) =
+  match Ssa.validate s with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" what msg
+
+let test_temp_gets_no_phi () =
+  (* Each arm computes a compound expression into a temporary that only
+     its own block reads; [x] is assigned in both arms and read after the
+     join. *)
+  let s =
+    ssa_of
+      {|proc main() { call f(1); }
+        proc f(a) { if (a > 0) { x = a + 1; } else { x = a * 2; } print x; }|}
+      "f"
+  in
+  let phis = phis_of s in
+  let temp_phis =
+    List.filter (fun (_, ph) -> Ir.Var.is_temp ph.Ssa.p_name.Ssa.base) phis
+  in
+  let x_phis =
+    List.filter (fun (_, ph) -> Ir.Var.name ph.Ssa.p_name.Ssa.base = "x") phis
+  in
+  Alcotest.(check int) "no phi for a block-local temporary" 0
+    (List.length temp_phis);
+  Alcotest.(check int) "one phi for x at the join" 1 (List.length x_phis);
+  check_valid "f" s
+
+let test_global_phi_before_ret () =
+  (* [g] is never read in [f], but the return records its reaching
+     version, so the join before [Ret] needs a phi for it. *)
+  let s =
+    ssa_of
+      {|global g;
+        proc main() { call f(1); }
+        proc f(a) { if (a > 0) { g = 1; } }|}
+      "f"
+  in
+  let g_phis =
+    List.filter
+      (fun (_, ph) -> Ir.Var.is_global ph.Ssa.p_name.Ssa.base)
+      (phis_of s)
+  in
+  (match g_phis with
+  | [ (b, ph) ] ->
+      Alcotest.(check bool) "the phi's block returns" true
+        (s.Ssa.blocks.(b).Ssa.term = Ssa.Ret);
+      let _, exits = List.find (fun (rb, _) -> rb = b) s.Ssa.exit_names in
+      let _, g_exit =
+        Array.to_list exits
+        |> List.find (fun ((v : Ir.var), _) -> Ir.Var.is_global v)
+      in
+      Alcotest.(check int) "exit name is the phi" ph.Ssa.p_name.Ssa.id
+        g_exit.Ssa.id
+  | l -> Alcotest.failf "expected one phi for g, got %d" (List.length l));
+  check_valid "f" s
+
+let shape_ssa (prog : Ast.program) name =
+  Ssa.of_proc prog (Lower.lower_proc prog (Ast.find_proc_exn prog name))
+
+let test_if_nest_phi_count () =
+  let d = 200 in
+  let prog = Fsicp_shapes.Shapes.(program [ if_nest ~depth:d ]) in
+  let s = shape_ssa prog "ifnest" in
+  let n = List.length (phis_of s) in
+  if n > (2 * d) + 4 then
+    Alcotest.failf "if-nest of depth %d: %d phis > 2d + 4" d n;
+  check_valid "ifnest" s
+
+let test_deep_if_nest_no_overflow () =
+  let prog = Fsicp_shapes.Shapes.(program [ if_nest ~depth:20000 ]) in
+  match shape_ssa prog "ifnest" with
+  | s ->
+      Alcotest.(check bool) "blocks" true (Array.length s.Ssa.blocks > 20000)
+  | exception Stack_overflow -> Alcotest.fail "Stack_overflow at depth 20000"
+
+(* [validate] checks def-dominates-use; run it over every procedure of a
+   program, built through the full context (IPA call effects). *)
+let validate_all what (prog : Ast.program) =
+  let ctx = Fsicp_core.Context.create prog in
+  let pcg = ctx.Fsicp_core.Context.pcg in
+  Array.iter
+    (fun pid ->
+      check_valid
+        (what ^ ":" ^ Fsicp_callgraph.Callgraph.proc_name pcg pid)
+        (Fsicp_core.Context.ssa_at ctx pid))
+    pcg.Fsicp_callgraph.Callgraph.nodes
+
+let test_validate_suite () =
+  List.iter
+    (fun (b : Fsicp_workloads.Spec.benchmark) ->
+      validate_all b.Fsicp_workloads.Spec.b_name
+        (Fsicp_workloads.Spec.program b))
+    Fsicp_workloads.Spec.suite
+
+let test_validate_testdata () =
+  Sys.readdir Test_corpus.corpus_dir
+  |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mf")
+  |> List.iter (fun f -> validate_all f (Test_corpus.load f))
+
+let test_validate_deep_shapes () =
+  validate_all "deep" (Fsicp_shapes.Shapes.deep ())
+
+let test_validate_rejects_bad_dominance () =
+  (* Point the print after the join at the then-arm's version of x instead
+     of the join's phi: that def does not dominate the print. *)
+  let s =
+    ssa_of
+      {|proc main() { call f(1); }
+        proc f(a) { if (a > 0) { x = 1; } else { x = 2; } print x; }|}
+      "f"
+  in
+  let then_def = ref None in
+  Array.iter
+    (fun (blk : Ssa.block) ->
+      Array.iter
+        (function
+          | Ssa.Assign (n, _) when Ir.Var.name n.Ssa.base = "x" && !then_def = None
+            ->
+              then_def := Some n
+          | _ -> ())
+        blk.Ssa.instrs)
+    s.Ssa.blocks;
+  let n = Option.get !then_def in
+  let blocks =
+    Array.map
+      (fun (blk : Ssa.block) ->
+        {
+          blk with
+          Ssa.instrs =
+            Array.map
+              (function
+                | Ssa.Print (Ssa.Oname m) when Ir.Var.name m.Ssa.base = "x" ->
+                    Ssa.Print (Ssa.Oname n)
+                | ins -> ins)
+              blk.Ssa.instrs;
+        })
+      s.Ssa.blocks
+  in
+  match Ssa.validate { s with Ssa.blocks } with
+  | Ok () -> Alcotest.fail "validate accepted a use its def does not dominate"
+  | Error _ -> ()
+
 let suite =
   [
     Alcotest.test_case "straight-line versions" `Quick
@@ -229,4 +380,17 @@ let suite =
     Alcotest.test_case "def-use chains" `Quick test_def_use_chains;
     prop_validate;
     prop_defs_total;
+    Alcotest.test_case "no phi for a block-local temporary" `Quick
+      test_temp_gets_no_phi;
+    Alcotest.test_case "global phi at the join before ret" `Quick
+      test_global_phi_before_ret;
+    Alcotest.test_case "if-nest depth 200: at most 2d+4 phis" `Quick
+      test_if_nest_phi_count;
+    Alcotest.test_case "if-nest depth 20000 builds" `Quick
+      test_deep_if_nest_no_overflow;
+    Alcotest.test_case "validate: Spec.suite" `Quick test_validate_suite;
+    Alcotest.test_case "validate: testdata" `Quick test_validate_testdata;
+    Alcotest.test_case "validate: deep shapes" `Quick test_validate_deep_shapes;
+    Alcotest.test_case "validate rejects a non-dominating def" `Quick
+      test_validate_rejects_bad_dominance;
   ]
