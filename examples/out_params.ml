@@ -59,9 +59,8 @@ let () =
       Fmt.pr "  out parameter : %a@." Fsicp_scc.Lattice.pp
         s.Return_consts.rs_formals.(0);
       Fmt.pr "  tolerance     : %a@." Fsicp_scc.Lattice.pp
-        (List.assoc
-           (Fsicp_prog.Prog.Var.intern "tolerance")
-           s.Return_consts.rs_globals)
+        (Return_consts.exit_global s
+           (Fsicp_prog.Prog.Var.intern "tolerance"))
   | None -> assert false);
 
   (* Phase 3: a refined forward pass with the summaries as call effects. *)

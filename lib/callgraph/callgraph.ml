@@ -39,8 +39,9 @@ type edge = {
 
 type t = {
   mutable prog : Ast.program;  (** see {!set_prog} *)
-  mutable asts : (string, Ast.proc) Hashtbl.t;
-      (** name → AST index over [prog.procs]; rebuilt by {!set_prog}.  The
+  asts : (string, Ast.proc) Hashtbl.t;
+      (** name → AST index over [prog.procs]; kept in step by
+          {!replace_proc}.  The
           list scan it replaces made every per-procedure [proc_ast] O(n) —
           quadratic across lowering on the 10⁴–10⁶-procedure corpora. *)
   db : Prog.t;
@@ -74,6 +75,7 @@ let proc_ast t id =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Ast.find_proc_exn: %s" name)
 
+let find_ast t name = Hashtbl.find_opt t.asts name
 let is_reachable t name = Prog.mem t.db name
 
 (** Build the PCG of [prog], restricted to procedures reachable from the
@@ -259,13 +261,15 @@ let cone t ~(seeds : Prog.Proc.id list) : Prog.Proc.id array =
   done;
   out
 
-(** Swap in a new AST after a procedure-body edit, for {!proc_ast} and
-    lowering.  In contract only when the PCG shape is unchanged: same
-    reachable procedures, same callee sequence per procedure (the
-    incremental engine checks this before calling). *)
-let set_prog t (prog : Ast.program) =
+(** Swap in an edited AST after a procedure-body edit, for {!proc_ast}
+    and lowering: [prog] is the current program with [p] replacing the
+    procedure of the same name, and the name index is updated in place
+    (O(1), not a re-index of the program).  In contract only when the PCG
+    shape is unchanged: same reachable procedures, same callee sequence
+    per procedure (the incremental engine checks this before calling). *)
+let replace_proc t (prog : Ast.program) (p : Ast.proc) =
   t.prog <- prog;
-  t.asts <- index_asts prog
+  Hashtbl.replace t.asts p.Ast.pname p
 
 (** Back-edge ratio |back| / |edges| — the paper's measure of how much
     flow-insensitive information the combined FS solution uses (§3.2).

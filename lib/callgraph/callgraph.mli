@@ -20,11 +20,12 @@ type edge = {
 
 type t = {
   mutable prog : Ast.program;
-      (** the analysed AST; replaced only by {!set_prog} after a
+      (** the analysed AST; replaced only by {!replace_proc} after a
           shape-preserving procedure edit *)
-  mutable asts : (string, Ast.proc) Hashtbl.t;
-      (** name → AST index over [prog.procs], kept in sync by {!set_prog};
-          makes {!proc_ast} O(1) instead of a program-wide list scan *)
+  asts : (string, Ast.proc) Hashtbl.t;
+      (** name → AST index over [prog.procs], every procedure (reachable
+          or not), kept in sync by {!replace_proc}; makes {!proc_ast} O(1)
+          instead of a program-wide list scan *)
   db : Prog.t;  (** name <-> id bijection for the reachable procedures *)
   nodes : Prog.Proc.id array;
       (** reachable procedures in reverse postorder from main;
@@ -53,6 +54,9 @@ val proc_name : t -> Prog.Proc.id -> string
 
 val proc_ast : t -> Prog.Proc.id -> Ast.proc
 (** The AST of a reachable procedure. *)
+
+(** The AST of any procedure of the program by name, reachable or not. *)
+val find_ast : t -> string -> Ast.proc option
 
 val is_reachable : t -> string -> bool
 val is_back_edge : t -> edge -> bool
@@ -85,10 +89,12 @@ val has_cycles : t -> bool
     separately.  Runs on the dense adjacency. *)
 val cone : t -> seeds:Prog.Proc.id list -> Prog.Proc.id array
 
-(** Swap in an edited AST.  In contract only when the PCG shape is
-    unchanged (same reachable procedures, same callee sequence per
-    procedure); the incremental engine verifies this before calling. *)
-val set_prog : t -> Ast.program -> unit
+(** [replace_proc t prog p] swaps in an edited AST: [prog] is the current
+    program with [p] replacing the procedure of the same name.  The name
+    index is updated in place, in O(1).  In contract only when the PCG
+    shape is unchanged (same reachable procedures, same callee sequence
+    per procedure); the incremental engine verifies this before calling. *)
+val replace_proc : t -> Ast.program -> Ast.proc -> unit
 
 (** |back edges| / |edges| — the paper's measure of how flow-insensitive
     the combined FS solution is (§3.2): 0 means pure flow-sensitive. *)

@@ -357,15 +357,20 @@ let reset_scc_memos t : unit =
       | None -> ())
     t.pcg.Callgraph.nodes
 
-(** Swap in an edited program.  In contract only for shape-preserving
-    edits (same reachable procedures, same callee sequences, same summary
+(** Swap in an edited procedure: [prog] is the current program with [p]
+    replacing the procedure of the same name, and [summary] is [p]'s
+    summary.  The program, the call graph's name index and the summary
+    table are all updated in place, in O(1).  In contract only for an
+    edit of a procedure unreachable from main, or a shape-preserving one
+    (same reachable procedures, same callee sequences, same summary
     shapes) — the incremental engine checks this and rebuilds the whole
     context otherwise. *)
-let set_program t (prog : Ast.program) : unit =
+let replace_proc t (prog : Ast.program) (p : Ast.proc)
+    (summary : Summary.proc_summary) : unit =
   t.prog <- prog;
-  Callgraph.set_prog t.pcg prog
-
-let set_summaries t (s : Summary.t) : unit = t.summaries <- s
+  Callgraph.replace_proc t.pcg prog p;
+  Hashtbl.replace t.summaries.Summary.table p.Ast.pname summary;
+  t.summaries <- { t.summaries with Summary.prog }
 
 (** Invalidate one procedure's derived artifacts after a body edit: bump
     the global edit epoch, re-lower the procedure from [t.prog], recompute

@@ -34,9 +34,10 @@ type alias_kills = { ak_keys : int array; ak_lists : Ir.var list array }
 type stream
 
 type t = {
-  mutable prog : Ast.program;  (** replaced only via {!set_program} *)
+  mutable prog : Ast.program;  (** replaced only via {!replace_proc} *)
   pcg : Callgraph.t;
-  mutable summaries : Summary.t;  (** replaced only via {!set_summaries} *)
+  mutable summaries : Summary.t;
+      (** its table is updated in place only via {!replace_proc} *)
   aliases : Alias.t;
   modref : Modref.t;
   floats : bool;
@@ -120,16 +121,17 @@ val reset_ssa_cache : t -> unit
     this to measure the solver core on warm SSA). *)
 val reset_scc_memos : t -> unit
 
-(** Swap in an edited program (and update the PCG's AST pointer).  In
-    contract only for shape-preserving edits: same reachable procedures,
-    same callee sequence per procedure, same summary shapes.  The
-    incremental engine ({!Engine}) verifies this before calling and
+(** [replace_proc t prog p summary] swaps in an edited procedure: [prog]
+    is the current program with [p] replacing the procedure of the same
+    name, [summary] is [p]'s IPA summary.  The program, the PCG's name
+    index and the summary table are updated in place, in O(1).  In
+    contract only for an edit of a procedure unreachable from main, or a
+    shape-preserving one: same reachable procedures, same callee sequence
+    per procedure, same summary shapes (literal payloads may differ).
+    The incremental engine ({!Engine}) verifies this before calling and
     rebuilds the whole context otherwise. *)
-val set_program : t -> Ast.program -> unit
-
-(** Swap in refreshed IPA summaries (literal payloads may differ; shapes
-    must match — see {!set_program}). *)
-val set_summaries : t -> Summary.t -> unit
+val replace_proc :
+  t -> Ast.program -> Ast.proc -> Summary.proc_summary -> unit
 
 (** Invalidate one procedure's derived artifacts after a body edit: bump
     the context's edit epoch, re-lower the procedure from the current

@@ -7,15 +7,17 @@
 
     - {b incremental} — when the edit preserves the program's {e shape}
       (same procedures, same callee sequence per procedure, same IPA
-      summary shape for the edited procedure): only the edited procedure's
-      artifacts are invalidated ({!Context.invalidate_proc}), the
-      flow-insensitive solution is re-run in full (it is a tiny fraction
-      of the flow-sensitive cost), and the flow-sensitive wavefront is
-      re-driven over the downstream cone of the edit plus every callee of
-      a back edge whose flow-insensitive record changed
-      ({!Fs_icp.resolve}).  Everything outside the cone is reused, and
-      cone members whose entry vectors are unchanged hit the SCC
-      entry-vector memo.
+      summary shape for the edited procedure): only the edited procedure
+      is checked ({!Sema.check_proc}), re-summarized and swapped in place
+      ({!Context.replace_proc}), only its artifacts are invalidated
+      ({!Context.invalidate_proc}), the flow-insensitive solution is
+      patched (one packed propagation pass, then only the rows that
+      changed are rebuilt), and the flow-sensitive wavefront is re-driven
+      over the downstream cone of the edit plus every callee of a back
+      edge whose flow-insensitive record changed ({!Fs_icp.resolve}),
+      patching the previous solution's rows.  Everything outside the cone
+      is shared with the previous solutions, and cone members whose entry
+      vectors are unchanged hit the SCC entry-vector memo.
 
     - {b full rebuild} — when the shape changes (procedure added, call
       site added/removed/retargeted, formals or immediate MOD/REF
@@ -56,8 +58,16 @@ let solve_fresh ?jobs ~floats prog =
   let fs = Fs_icp.solve ?jobs ~fi ctx in
   (ctx, fi, fs)
 
+(* Whole-program well-formedness checks, counted: a shape-preserving edit
+   checks only the edited procedure ({!Sema.check_proc}). *)
+let c_sema_full = Trace.counter "engine.sema.full"
+
+let check_program prog =
+  Trace.incr c_sema_full;
+  Sema.check_exn prog
+
 let create ?(floats = true) ?jobs (prog : Ast.program) : t =
-  Sema.check_exn prog;
+  check_program prog;
   let ctx, fi, fs = solve_fresh ?jobs ~floats prog in
   { floats; ctx; fi; fs; edits = 0; incremental_edits = 0; rebuilds = 0 }
 
@@ -141,15 +151,17 @@ let rebuild ?jobs t prog reason : outcome =
 let edit_proc ?jobs t (p : Ast.proc) : outcome =
   Trace.span ~args:(fun () -> [ ("proc", p.Ast.pname) ]) "engine:edit"
   @@ fun () ->
-  let old_prog = t.ctx.Context.prog in
-  match Ast.find_proc old_prog p.Ast.pname with
+  let ctx = t.ctx in
+  let pcg = ctx.Context.pcg in
+  let old_prog = ctx.Context.prog in
+  match Callgraph.find_ast pcg p.Ast.pname with
   | None ->
       (* A new procedure changes the program shape outright. *)
       let prog = { old_prog with Ast.procs = old_prog.Ast.procs @ [ p ] } in
-      Sema.check_exn prog;
+      check_program prog;
       t.edits <- t.edits + 1;
       rebuild ?jobs t prog "new procedure"
-  | Some _ -> (
+  | Some old -> (
       let prog =
         {
           old_prog with
@@ -160,70 +172,62 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
               old_prog.Ast.procs;
         }
       in
-      Sema.check_exn prog;
+      (* The rest of the program was clean and is unchanged, so with the
+         same name and formals only [p]'s own checks can fail. *)
+      if List.equal String.equal old.Ast.formals p.Ast.formals then
+        Sema.check_proc_exn ~lookup:(Callgraph.find_ast pcg) p
+      else check_program prog;
       t.edits <- t.edits + 1;
-      match Callgraph.proc_id t.ctx.Context.pcg p.Ast.pname with
+      (* Only the edited procedure's summary can change — summaries are
+         per-body and the globals list is untouched by a procedure edit —
+         so summarize just that procedure instead of re-collecting the
+         whole program. *)
+      let old_s = Summary.find ctx.Context.summaries p.Ast.pname in
+      let new_s = Summary.summarize_proc prog p in
+      match Callgraph.proc_id pcg p.Ast.pname with
       | None ->
           (* Unreachable procedure: no analysis artifact depends on its
-             body.  Record the new text and summary; both solutions
-             stand. *)
-          Context.set_program t.ctx prog;
-          let table = Hashtbl.copy t.ctx.Context.summaries.Summary.table in
-          Hashtbl.replace table p.Ast.pname (Summary.summarize_proc prog p);
-          Context.set_summaries t.ctx { Summary.prog; table };
+             body, whatever its shape.  Record the new text and summary;
+             both solutions stand. *)
+          Context.replace_proc ctx prog p new_s;
+          t.incremental_edits <- t.incremental_edits + 1;
+          Incremental { dirty = 0; total = Callgraph.n_procs pcg }
+      | Some _ when not (summary_shape_equal old_s new_s) ->
+          rebuild ?jobs t prog "summary shape changed"
+      | Some pid ->
+          (* Shape preserved: swap program and summary in place,
+             invalidate only the edited procedure's artifacts. *)
+          Context.replace_proc ctx prog p new_s;
+          Context.invalidate_proc ctx pid;
+          (* The flow-insensitive propagation re-runs in full (packed, no
+             SSA, no SCC), which keeps the back-edge seed exact; the patch
+             re-boxes only the rows it changed and shares the rest. *)
+          let fi' = Fi_icp.solve ~prev:(t.fi, pid) ctx in
+          (* Seeds: the edited procedure, plus the callee of every back
+             edge whose flow-insensitive record changed — the only channel
+             through which an edit reaches a procedure that is not
+             downstream of it over forward edges.  Only a re-boxed row
+             (physically new) can hold a changed record. *)
+          let seeds = ref [ pid ] in
+          Prog.Proc.Tbl.iteri
+            (fun caller row ->
+              let old_row =
+                Prog.Proc.Tbl.get t.fi.Solution.call_index caller
+              in
+              if row != old_row then
+                Array.iter
+                  (fun (e : Callgraph.edge) ->
+                    let k = e.Callgraph.cs_index in
+                    if
+                      e.Callgraph.back
+                      && not (record_equal old_row.(k) row.(k))
+                    then seeds := e.Callgraph.callee :: !seeds)
+                  (Callgraph.out_edges pcg caller))
+            fi'.Solution.call_index;
+          let dirty = Callgraph.cone pcg ~seeds:!seeds in
+          let fs' = Fs_icp.resolve ?jobs ~fi:fi' ~prev:t.fs ~dirty ctx in
+          t.fi <- fi';
+          t.fs <- fs';
           t.incremental_edits <- t.incremental_edits + 1;
           Incremental
-            { dirty = 0; total = Callgraph.n_procs t.ctx.Context.pcg }
-      | Some pid ->
-          (* Only the edited procedure's summary can change — summaries
-             are per-body and the globals list is untouched by a
-             procedure edit — so summarize just that procedure instead of
-             re-collecting the whole program (which would dwarf the
-             incremental re-solve itself on large programs). *)
-          let old_s = Summary.find t.ctx.Context.summaries p.Ast.pname in
-          let new_s = Summary.summarize_proc prog p in
-          if not (summary_shape_equal old_s new_s) then
-            rebuild ?jobs t prog "summary shape changed"
-          else begin
-            let summaries =
-              let table =
-                Hashtbl.copy t.ctx.Context.summaries.Summary.table
-              in
-              Hashtbl.replace table p.Ast.pname new_s;
-              { Summary.prog; table }
-            in
-            let ctx = t.ctx in
-            let pcg = ctx.Context.pcg in
-            (* Shape preserved: swap program and summaries in place,
-               invalidate only the edited procedure's artifacts. *)
-            Context.set_program ctx prog;
-            Context.set_summaries ctx summaries;
-            Context.invalidate_proc ctx pid;
-            (* The flow-insensitive solve is a fixed, tiny cost (no SSA,
-               no SCC); re-running it in full keeps the back-edge seed
-               exact and gives us the record diff below for free. *)
-            let fi' = Fi_icp.solve ctx in
-            (* Seeds: the edited procedure, plus the callee of every back
-               edge whose flow-insensitive record changed — the only
-               channel through which an edit reaches a procedure that is
-               not downstream of it over forward edges. *)
-            let seeds = ref [ pid ] in
-            List.iter
-              (fun (e : Callgraph.edge) ->
-                if e.Callgraph.back then begin
-                  let at s =
-                    Solution.find_call_record s ~caller:e.Callgraph.caller
-                      ~cs_index:e.Callgraph.cs_index
-                  in
-                  if not (record_equal (at t.fi) (at fi')) then
-                    seeds := e.Callgraph.callee :: !seeds
-                end)
-              pcg.Callgraph.edges;
-            let dirty = Callgraph.cone pcg ~seeds:!seeds in
-            let fs' = Fs_icp.resolve ?jobs ~fi:fi' ~prev:t.fs ~dirty ctx in
-            t.fi <- fi';
-            t.fs <- fs';
-            t.incremental_edits <- t.incremental_edits + 1;
-            Incremental
-              { dirty = Array.length dirty; total = Callgraph.n_procs pcg }
-          end)
+            { dirty = Array.length dirty; total = Callgraph.n_procs pcg })

@@ -4,12 +4,15 @@
     Holds the {!Context.t} and the current flow-insensitive and
     flow-sensitive solutions hot across procedure-body edits.  A
     shape-preserving edit (same procedures, same callee sequences, same
-    IPA summary shape) invalidates only the edited procedure's artifacts
-    and re-drives the flow-sensitive wavefront over the downstream cone of
-    the edit (plus back-edge-reached procedures whose flow-insensitive
-    records changed); a shape-changing edit falls back to a full rebuild.
-    In both cases {!solution} is identical to a from-scratch solve of the
-    edited program, at any [jobs] — the differential oracle checks this
+    IPA summary shape) checks and invalidates only the edited procedure,
+    patches the flow-insensitive solution's changed rows, and re-drives
+    the flow-sensitive wavefront over the downstream cone of the edit
+    (plus back-edge-reached procedures whose flow-insensitive records
+    changed), sharing every other row with the previous solutions: O(cone)
+    plus one packed O(n) flow-insensitive pass.  A shape-changing edit
+    falls back to a full rebuild.  In both cases {!solution} and
+    {!fi_solution} are identical to from-scratch solves of the edited
+    program, at any [jobs] — the differential oracle checks this
     byte-for-byte over random edit sequences. *)
 
 open Fsicp_lang
@@ -30,8 +33,9 @@ val context : t -> Context.t
 (** The current flow-sensitive solution. *)
 val solution : t -> Solution.t
 
-(** The current flow-insensitive solution (the back-edge seed, kept for
-    record diffing on the next edit). *)
+(** The current flow-insensitive solution: the back-edge seed, the base
+    the next edit patches, and serve's answer to [query-entry] with
+    method [fi]. *)
 val fi_solution : t -> Solution.t
 
 (** Session counters: [procs], [edits], [incremental_edits], [rebuilds],
@@ -40,7 +44,9 @@ val stats : t -> (string * int) list
 
 (** Replace procedure [p.pname]'s definition (or add a new procedure) and
     re-establish both solutions, incrementally when the edit preserves the
-    program shape.
+    program shape.  An edit that keeps the procedure's name and formals is
+    checked with {!Sema.check_proc} alone; any other runs the whole
+    {!Sema.check} (counted by the ["engine.sema.full"] trace counter).
     @raise Sema.Illformed when the edited program fails {!Sema.check};
     engine state is untouched in that case. *)
 val edit_proc : ?jobs:int -> t -> Ast.proc -> outcome

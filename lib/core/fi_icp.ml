@@ -40,7 +40,11 @@ module P = Lattice.P
 let c_pops = Trace.counter "fi.worklist_pops"
 let c_lowerings = Trace.counter "fi.lowerings"
 
-let solve_body (ctx : Context.t) : Solution.t =
+(* Rows (entries and per-caller call-record rows) a patch re-boxed.  A
+   from-scratch solve boxes every row and does not count here. *)
+let c_reboxed = Trace.counter "fi.patch.reboxed"
+
+let solve_body ?prev (ctx : Context.t) : Solution.t =
   let pcg = ctx.Context.pcg in
   let db = pcg.Callgraph.db in
   let n = Callgraph.n_procs pcg in
@@ -48,11 +52,14 @@ let solve_body (ctx : Context.t) : Solution.t =
      slot [fp_base.(p) + i].  All per-formal state is flat arrays — the
      former [(string * int)]-keyed hashtables hashed a boxed tuple per
      lattice meet. *)
+  (* Each summary is looked up once (the table is keyed by name). *)
+  let sums =
+    Array.map
+      (fun pid -> Summary.find ctx.Context.summaries (Prog.proc_name db pid))
+      pcg.Callgraph.nodes
+  in
   let n_formals =
-    Array.init n (fun i ->
-        let name = Prog.proc_name db pcg.Callgraph.nodes.(i) in
-        List.length
-          (Summary.find ctx.Context.summaries name).Summary.ps_formals)
+    Array.map (fun s -> List.length s.Summary.ps_formals) sums
   in
   let fp_base = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -71,6 +78,12 @@ let solve_body (ctx : Context.t) : Solution.t =
            Lattice.is_const v && not (List.mem (Prog.Var.name g) modified))
   in
   let global_const (g : Prog.Var.id) = List.assoc_opt g program_constants in
+  (* Bare-global arguments name their global: packed by name, so the pass
+     below neither interns nor boxes. *)
+  let const_word : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (g, v) -> Hashtbl.replace const_word (Prog.Var.name g) (P.of_t v))
+    program_constants;
 
   (* -- Formals -------------------------------------------------------- *)
   let n_slots = fp_base.(n) in
@@ -95,14 +108,15 @@ let solve_body (ctx : Context.t) : Solution.t =
     end
   in
 
-  (* Forward topological traversal over all call sites. *)
-  Array.iter
-    (fun caller_id ->
-      let caller = Prog.proc_name db caller_id in
-      let s = Summary.find ctx.Context.summaries caller in
+  (* Forward topological traversal over all call sites (ids are the
+     forward order; a site's callee comes from the dense out-row). *)
+  Array.iteri
+    (fun p (s : Summary.proc_summary) ->
+      let caller_id = pcg.Callgraph.nodes.(p) in
+      let out = Callgraph.out_edges pcg caller_id in
       List.iter
         (fun (c : Summary.call_summary) ->
-          let callee_id = Callgraph.proc_id_exn pcg c.Summary.cs_callee in
+          let callee_id = out.(c.Summary.cs_index).Callgraph.callee in
           Array.iteri
             (fun j arg ->
               let target = slot callee_id j in
@@ -110,15 +124,17 @@ let solve_body (ctx : Context.t) : Solution.t =
               | Summary.Alit v ->
                   meet target (Context.censor_w ctx (P.of_value v))
               | Summary.Aglobal g -> (
-                  match global_const (Prog.Var.intern g) with
-                  | Some v -> meet target (P.of_t v)
+                  match Hashtbl.find_opt const_word g with
+                  | Some w -> meet target w
                   | None -> meet target P.bot)
               | Summary.Aformal i ->
                   let k = slot caller_id i in
                   let w = value k in
                   if
                     P.is_const w
-                    && not (Modref.formal_modified ctx.Context.modref caller i)
+                    && not
+                         (Modref.formal_modified ctx.Context.modref
+                            s.Summary.ps_name i)
                   then begin
                     fp_bind.(k) <- target :: fp_bind.(k);
                     meet target w
@@ -127,7 +143,7 @@ let solve_body (ctx : Context.t) : Solution.t =
               | Summary.Alocal _ | Summary.Aexpr -> meet target P.bot)
             c.Summary.cs_args)
         s.Summary.ps_calls)
-    (Callgraph.forward_order pcg);
+    sums;
 
   (* Drain the lowering worklist (pass-through formals that were constant
      and have since been lowered). *)
@@ -144,87 +160,161 @@ let solve_body (ctx : Context.t) : Solution.t =
   Trace.add c_lowerings !lowerings;
 
   (* -- Assemble the solution ------------------------------------------ *)
-  let entries =
-    Prog.tbl_init db (fun pid ->
-        let proc = Prog.proc_name db pid in
-        let nf = n_formals.((pid :> int)) in
-        let pe_formals =
-          Array.init nf (fun i ->
-              let w = value (slot pid i) in
-              if w = P.top then
-                (* A formal nothing was ever propagated to (its procedure
-                   has no processed call sites) is not a constant. *)
-                Lattice.Bot
-              else P.to_t w)
-        in
-        (* Program-wide global constants hold at every entry; restrict to
-           the globals the procedure may reference. *)
-        let pe_globals =
-          Modref.call_global_refs ctx.Context.modref ~callee:proc
-          |> List.map (fun (gv : Fsicp_cfg.Ir.var) ->
-                 ( gv.Fsicp_cfg.Ir.vid,
-                   match global_const gv.Fsicp_cfg.Ir.vid with
-                   | Some v -> v
-                   | None -> Lattice.Bot ))
-          |> List.sort (fun (a, _) (b, _) -> Prog.Var.compare a b)
-        in
-        { Solution.pe_formals; pe_globals })
+  (* The solution is a patch of [prev] — the previous solution and the
+     procedure whose body a shape-preserving edit replaced — or, from
+     scratch, of nothing.  Under a shape-preserving edit only literal
+     payloads of the edited procedure's call sites differ, so the
+     propagation above can change only formal slots; the globals of every
+     entry and record (program-wide constants over unchanged MOD/REF
+     closures) cannot change.  Three kinds of rows are re-boxed: the entry
+     of a procedure whose formal slots changed, the call records of the
+     edited procedure, and those of a caller one of whose pass-through
+     formal slots changed.  Every other row is [prev]'s, shared. *)
+  let final k = if value k = P.top then P.bot else value k in
+  let entry_of (pid : Prog.Proc.id) =
+    let nf = n_formals.((pid :> int)) in
+    (* A formal nothing was ever propagated to (its procedure has no
+       processed call sites) is not a constant. *)
+    Array.init nf (fun i -> P.to_t (final (slot pid i)))
   in
-
-  (* Per-call-site records: the final constant status of every argument
-     (recomputed after convergence, so pass-through statuses are not stale)
-     and of every global in the callee's REF closure. *)
-  let call_records =
-    Array.to_list pcg.Callgraph.nodes
-    |> List.concat_map (fun caller_id ->
-           let caller = Prog.proc_name db caller_id in
-           let s = Summary.find ctx.Context.summaries caller in
-           List.map
-             (fun (c : Summary.call_summary) ->
-               let cr_args =
-                 Array.map
-                   (fun arg ->
-                     match arg with
-                     | Summary.Alit v ->
-                         Context.censor ctx (Lattice.Const v)
-                     | Summary.Aglobal g -> (
-                         match global_const (Prog.Var.intern g) with
-                         | Some v -> v
-                         | None -> Lattice.Bot)
-                     | Summary.Aformal i ->
-                         let w = value (slot caller_id i) in
-                         if
-                           P.is_const w
-                           && not
-                                (Modref.formal_modified ctx.Context.modref
-                                   caller i)
-                         then P.to_t w
-                         else Lattice.Bot
-                     | Summary.Alocal _ | Summary.Aexpr -> Lattice.Bot)
-                   c.Summary.cs_args
-               in
-               let cr_globals =
-                 Modref.call_global_refs ctx.Context.modref
-                   ~callee:c.Summary.cs_callee
-                 |> List.map (fun (gv : Fsicp_cfg.Ir.var) ->
-                        ( gv.Fsicp_cfg.Ir.vid,
-                          match global_const gv.Fsicp_cfg.Ir.vid with
-                          | Some v -> v
-                          | None -> Lattice.Bot ))
-               in
-               {
-                 Solution.cr_caller = caller_id;
-                 cr_cs_index = c.Summary.cs_index;
-                 cr_callee = Callgraph.proc_id_exn pcg c.Summary.cs_callee;
-                 cr_executable = true;
-                 cr_args;
-                 cr_globals;
-               })
-             s.Summary.ps_calls)
+  let globals_of proc =
+    Modref.call_global_refs ctx.Context.modref ~callee:proc
+    |> List.map (fun (gv : Fsicp_cfg.Ir.var) ->
+           ( gv.Fsicp_cfg.Ir.vid,
+             match global_const gv.Fsicp_cfg.Ir.vid with
+             | Some v -> v
+             | None -> Lattice.Bot ))
   in
-  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:0
-    ~scc_results:(Prog.tbl db None)
+  (* The final status of every argument (recomputed after convergence, so
+     pass-through statuses are not stale) and of every global in the
+     callee's REF closure; [prev_row] lends its unchanged globals. *)
+  let row_of (caller_id : Prog.Proc.id) prev_row =
+    let s = sums.((caller_id :> int)) in
+    let caller = s.Summary.ps_name in
+    let out = Callgraph.out_edges pcg caller_id in
+    Array.of_list
+      (List.map
+         (fun (c : Summary.call_summary) ->
+           let cr_args =
+             Array.map
+               (fun arg ->
+                 match arg with
+                 | Summary.Alit v -> Context.censor ctx (Lattice.Const v)
+                 | Summary.Aglobal g -> (
+                     match global_const (Prog.Var.intern g) with
+                     | Some v -> v
+                     | None -> Lattice.Bot)
+                 | Summary.Aformal i ->
+                     let w = value (slot caller_id i) in
+                     if
+                       P.is_const w
+                       && not
+                            (Modref.formal_modified ctx.Context.modref caller
+                               i)
+                     then P.to_t w
+                     else Lattice.Bot
+                 | Summary.Alocal _ | Summary.Aexpr -> Lattice.Bot)
+               c.Summary.cs_args
+           in
+           let cr_globals =
+             match prev_row with
+             | Some row ->
+                 (Option.get row.(c.Summary.cs_index)).Solution.cr_globals
+             | None -> globals_of c.Summary.cs_callee
+           in
+           Some
+             {
+               Solution.cr_caller = caller_id;
+               cr_cs_index = c.Summary.cs_index;
+               cr_callee = out.(c.Summary.cs_index).Callgraph.callee;
+               cr_executable = true;
+               cr_args;
+               cr_globals;
+             })
+         s.Summary.ps_calls)
+  in
+  (* From scratch the base is empty and every slot and row counts as
+     changed. *)
+  let fresh = Option.is_none prev in
+  let entries, call_index, edited =
+    match prev with
+    | Some ((prev : Solution.t), (edited : Prog.Proc.id)) ->
+        ( Prog.Proc.Tbl.copy prev.Solution.entries,
+          Prog.Proc.Tbl.copy prev.Solution.call_index,
+          (edited :> int) )
+    | None -> (Prog.tbl db Solution.empty_entry, Prog.tbl db [||], -1)
+  in
+  let reboxed = ref 0 in
+  let changed = Array.make n_slots false in
+  let passes_changed_slot pid (s : Summary.proc_summary) =
+    List.exists
+      (fun (c : Summary.call_summary) ->
+        Array.exists
+          (function
+            | Summary.Aformal i -> changed.(slot pid i)
+            | Summary.Alit _ | Summary.Aglobal _ | Summary.Alocal _
+            | Summary.Aexpr ->
+                false)
+          c.Summary.cs_args)
+      s.Summary.ps_calls
+  in
+  for p = 0 to n - 1 do
+    let pid = pcg.Callgraph.nodes.(p) in
+    let e = Prog.Proc.Tbl.get entries pid in
+    let entry_dirty = ref fresh in
+    if not fresh then
+      for i = 0 to n_formals.(p) - 1 do
+        let w = final (slot pid i) in
+        let v = e.Solution.pe_formals.(i) in
+        let same =
+          match v with
+          | Lattice.Top -> false
+          | Lattice.Bot -> w = P.bot
+          | Lattice.Const _ -> P.is_const w && Lattice.equal (P.to_t w) v
+        in
+        if not same then begin
+          changed.(slot pid i) <- true;
+          entry_dirty := true
+        end
+      done;
+    if !entry_dirty then begin
+      incr reboxed;
+      Prog.Proc.Tbl.set entries pid
+        {
+          Solution.pe_formals = entry_of pid;
+          pe_globals =
+            (if fresh then
+               List.sort
+                 (fun (a, _) (b, _) -> Prog.Var.compare a b)
+                 (globals_of (Prog.proc_name db pid))
+             else e.Solution.pe_globals);
+        }
+    end;
+    if
+      fresh || p = edited
+      || (!entry_dirty && passes_changed_slot pid sums.(p))
+    then begin
+      incr reboxed;
+      let row = Prog.Proc.Tbl.get call_index pid in
+      Prog.Proc.Tbl.set call_index pid
+        (row_of pid (if fresh then None else Some row))
+    end
+  done;
+  if not fresh then Trace.add c_reboxed !reboxed;
+  {
+    Solution.method_name;
+    db;
+    entries;
+    call_index;
+    scc_runs = 0;
+    scc_results = Prog.tbl db None;
+  }
 
-let solve (ctx : Context.t) : Solution.t =
+(** [solve ?prev ctx] — the flow-insensitive solution.  [prev = (sol,
+    edited)] patches [sol], the solution of this context's program before
+    a shape-preserving edit ({!Engine}'s incremental route) of procedure
+    [edited]: the propagation re-runs in full, but only the rows it can
+    have changed are rebuilt, and the result equals a from-scratch solve. *)
+let solve ?prev (ctx : Context.t) : Solution.t =
   Trace.next_epoch ();
-  Trace.span "fi:solve" (fun () -> solve_body ctx)
+  Trace.span "fi:solve" (fun () -> solve_body ?prev ctx)

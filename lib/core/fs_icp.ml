@@ -60,6 +60,11 @@ module P = Lattice.P
 let c_resolve_dirty = Trace.counter "fs.resolve.dirty"
 let c_resolve_reused = Trace.counter "fs.resolve.reused"
 
+(* Rows (entries and call-record rows) an incremental re-solve wrote into
+   its patched solution: two per re-driven procedure, none per reused
+   one. *)
+let c_patch_rows = Trace.counter "fs.patch.rows"
+
 (* -- Shard regions ------------------------------------------------------ *)
 
 (* A cut at position [i] splits the dense id range into [0, i) / [i, n).
@@ -124,6 +129,31 @@ let owners_of_regions (bounds : int array) ~jobs ~n : int array =
   done;
   owners
 
+(** The SCC kernel keys call effects by callee name: answer a
+    [(callee, v)] query by meeting the per-call oracle [f] over the calls
+    to that callee among [calls] — conservative when several calls to the
+    same callee define the same variable, and rare — with ⊥ when nothing
+    is known.  The calls are indexed by callee once, so each query folds
+    only that callee's sites. *)
+let call_def_by_callee (calls : (int * int * Ssa.call) list)
+    (f : Ssa.call -> Ir.var -> int) : callee:string -> Ir.var -> int =
+  let by_callee : (string, Ssa.call list) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun (_, _, (c : Ssa.call)) ->
+      Hashtbl.replace by_callee c.Ssa.c_callee
+        (c
+        :: Option.value (Hashtbl.find_opt by_callee c.Ssa.c_callee) ~default:[]
+        ))
+    (List.rev calls);
+  fun ~callee v ->
+    let r =
+      List.fold_left
+        (fun acc (c : Ssa.call) -> P.meet acc (f c v))
+        P.top
+        (Option.value (Hashtbl.find_opt by_callee callee) ~default:[])
+    in
+    if r = P.top then P.bot else r
+
 (** [solve ?jobs ?fi ?call_def_value ctx] computes the flow-sensitive
     solution.
 
@@ -140,10 +170,14 @@ let owners_of_regions (bounds : int array) ~jobs ~n : int array =
     the return-constants extension ({!Return_consts}) passes the summaries
     of its reverse traversal here.
 
-    [prev]/[dirty] select the incremental path (see {!resolve}): only the
-    procedures in [dirty] — a forward-edge-closed cone in ascending id
-    order — are re-driven through the wavefront; every other procedure's
-    entry, call records and SCC result are copied from [prev] verbatim. *)
+    [prev]/[dirty] select the incremental path (see {!resolve}): the
+    solution is a patch of [prev].  Only the procedures in [dirty] — a
+    forward-edge-closed cone in ascending id order — are re-driven through
+    the wavefront, and only their rows are written, into copies of
+    [prev]'s dense tables; every other procedure's entry, call-record row
+    and SCC result is [prev]'s, shared.  A from-scratch solve is the same
+    code patching empty tables with every procedure dirty.  Nothing here
+    costs O(program) beyond those table copies. *)
 let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     ?(call_def_value :
        (caller:string -> Ssa.call -> Ir.var -> int) option)
@@ -167,28 +201,15 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     Modref.call_global_refs ctx.Context.modref ~callee:proc
   in
 
-  (* Wavefront shape: procedure [i] depends on the distinct procedures that
-     call it over forward (non-back) edges; back edges contribute the FI
-     seed instead and impose no ordering.  The forward-edge graph is acyclic
-     and consistent with reverse postorder by construction.  A procedure's
-     id is its reverse-postorder index, so ids double as wavefront slots. *)
-  let in_edges = Array.map (fun pid -> Callgraph.in_edges pcg pid) nodes in
-  let deps = Array.make n [] in
-  let dependents = Array.make n [] in
-  Array.iteri
-    (fun i es ->
-      let callers =
-        Array.to_list es
-        |> List.filter_map (fun (e : Callgraph.edge) ->
-               if e.Callgraph.back then None
-               else Some (e.Callgraph.caller :> int))
-        |> List.sort_uniq compare
-      in
-      deps.(i) <- callers;
-      List.iter (fun c -> dependents.(c) <- i :: dependents.(c)) callers)
-    in_edges;
-  Array.iteri (fun i l -> dependents.(i) <- List.rev l) dependents;
-
+  (* The procedures to drive: every one from scratch, else the dirty
+     cone — forward-edge closed, in ascending id (= forward topological)
+     order. *)
+  let order =
+    match dirty with
+    | None -> Array.init n Fun.id
+    | Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d
+  in
+  let patching = Option.is_some prev in
   (* Pre-build SSA for every procedure (embarrassingly parallel, and the
      bulk of the flow-sensitive setup time); afterwards [Context.ssa] is a
      read-only cache hit from any domain.  Streaming contexts skip this on
@@ -210,57 +231,28 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     blockdata;
   let main = ctx.Context.prog.Ast.main in
 
-  (* Per-procedure outputs, written only by the domain that processes the
-     procedure and read by its dependents after the scheduler's
-     happens-before edge. *)
-  let entries_arr = Array.make n Solution.empty_entry in
-  let results_arr : Scc.result option array = Array.make n None in
-  let records_arr : Solution.callsite_record list array = Array.make n [] in
-  (* Call records by (caller id, cs_index): dense rows, one slot per call
-     site, since a caller records each of its sites at most once. *)
-  let record_idx : Solution.callsite_record option array array =
-    Array.init n (fun i -> Array.make (Callgraph.n_call_sites pcg nodes.(i)) None)
+  (* The solution's dense tables: copies of [prev]'s — so every clean
+     procedure keeps its previous entry, call-record row and SCC result
+     without being touched — or empty ones from scratch.  A clean
+     procedure's forward callers are all clean (the cone is forward-closed)
+     and its back-edge contributions are unchanged (procedures downstream
+     of a changed flow-insensitive record are seeded into the cone), so its
+     previous rows are exactly what a from-scratch solve would recompute.
+     [process] replaces the rows of the procedures it drives; each slot is
+     written only by the domain that processes its procedure and read by
+     its dependents after the scheduler's happens-before edge. *)
+  let db = pcg.Callgraph.db in
+  let entries, rows, results =
+    match prev with
+    | Some (prev : Solution.t) ->
+        ( Prog.Proc.Tbl.copy prev.Solution.entries,
+          Prog.Proc.Tbl.copy prev.Solution.call_index,
+          Prog.Proc.Tbl.copy prev.Solution.scc_results )
+    | None ->
+        ( Prog.tbl db Solution.empty_entry,
+          Prog.tbl db [||],
+          Prog.tbl db None )
   in
-
-  (* Incremental path: flag the dirty cone and seed every clean
-     procedure's outputs from the previous solution.  A clean procedure's
-     forward callers are all clean (the cone is forward-closed) and its
-     back-edge contributions are unchanged (procedures downstream of a
-     changed flow-insensitive record are seeded into the cone), so its
-     previous entry, records and SCC result are exactly what a from-scratch
-     solve would recompute. *)
-  let dirty_mask =
-    match dirty with
-    | None -> None
-    | Some d ->
-        let m = Array.make n false in
-        Array.iter (fun (pid : Prog.Proc.id) -> m.((pid :> int)) <- true) d;
-        Some m
-  in
-  (match (prev, dirty_mask) with
-  | Some (prev : Solution.t), Some m ->
-      (* Bucket the previous records by caller, preserving the per-caller
-         (call-site) order the from-scratch assembly produced. *)
-      let acc = Array.make n [] in
-      List.iter
-        (fun (cr : Solution.callsite_record) ->
-          let c = (cr.Solution.cr_caller :> int) in
-          acc.(c) <- cr :: acc.(c))
-        prev.Solution.call_records;
-      for i = 0 to n - 1 do
-        if not m.(i) then begin
-          let pid = nodes.(i) in
-          entries_arr.(i) <- Solution.entry_at prev pid;
-          results_arr.(i) <- Prog.Proc.Tbl.get prev.Solution.scc_results pid;
-          let recs = List.rev acc.(i) in
-          records_arr.(i) <- recs;
-          List.iter
-            (fun (cr : Solution.callsite_record) ->
-              record_idx.(i).(cr.Solution.cr_cs_index) <- Some cr)
-            recs
-        end
-      done
-  | _ -> ());
 
   let process i =
     let pid = nodes.(i) in
@@ -274,6 +266,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     @@ fun () ->
     let s = Summary.find ctx.Context.summaries proc in
     let nf = List.length s.Summary.ps_formals in
+    let ins = Callgraph.in_edges pcg pid in
     let formals = Array.make nf P.top in
     (* The REF-closure globals as a sorted id array with a parallel packed
        value array: the entry meets and the SCC entry environment binary-
@@ -323,7 +316,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
               with
               | None -> ()
               | Some cr -> contribute cr)
-          in_edges.(i));
+          ins);
     (* Entry environment of [main]: block data constants; everything else
        unknown.  (Any call edge into [main] is necessarily a back edge, so
        this replacement is main's whole global story bar the FI seed, which
@@ -344,11 +337,11 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
       (fun (e : Callgraph.edge) ->
         if not e.Callgraph.back then
           match
-            record_idx.((e.Callgraph.caller :> int)).(e.Callgraph.cs_index)
+            (Prog.Proc.Tbl.get rows e.Callgraph.caller).(e.Callgraph.cs_index)
           with
           | Some cr when cr.Solution.cr_executable -> contribute cr
           | Some _ | None -> ())
-      in_edges.(i);
+      ins;
     (* Top after all contributions = no executable call reaches the
        procedure; treat as unknown rather than claiming dead-code
        constants.  Finalize in place: [formals]/[gvals] double as the
@@ -369,7 +362,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
       done;
       !acc
     in
-    entries_arr.(i) <- { Solution.pe_formals; pe_globals };
+    Prog.Proc.Tbl.set entries pid { Solution.pe_formals; pe_globals };
     (* One flow-sensitive intraprocedural analysis of [proc]. *)
     let is_main = String.equal proc main in
     let entry_env (v : Ir.var) : int =
@@ -395,117 +388,115 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     let cdv =
       match call_def_value with
       | None -> Scc.default_config.Scc.call_def_value
-      | Some f ->
-          (* The SCC core keys call effects by callee name; when several
-             calls to the same callee define the same variable, meet their
-             summaries (conservative and rare).  The calls are indexed by
-             callee once, so each query folds only that callee's sites. *)
-          let by_callee : (string, Ssa.call list) Hashtbl.t =
-            Hashtbl.create 8
-          in
-          List.iter
-            (fun (_, _, (c : Ssa.call)) ->
-              Hashtbl.replace by_callee c.Ssa.c_callee
-                (c
-                :: Option.value
-                     (Hashtbl.find_opt by_callee c.Ssa.c_callee)
-                     ~default:[]))
-            (List.rev call_sites);
-          fun ~callee v ->
-            List.fold_left
-              (fun acc (c : Ssa.call) -> P.meet acc (f ~caller:proc c v))
-              P.top
-              (Option.value (Hashtbl.find_opt by_callee callee) ~default:[])
-            |> fun r -> if r = P.top then P.bot else r
+      | Some f -> call_def_by_callee call_sites (f ~caller:proc)
     in
     let config = { Scc.entry_env; call_def_value = cdv } in
     let res = Scc.run ~config ssa in
-    results_arr.(i) <- Some res;
+    Prog.Proc.Tbl.set results pid (Some res);
     (* Record call-site values for the callees' later meets. *)
-    let recs =
-      List.map
-        (fun (b, _, (c : Ssa.call)) ->
-          let executable = res.Scc.block_executable.(b) in
-          let cr_args =
-            Array.mapi
-              (fun j _ ->
-                if executable then
-                  P.to_t (Context.censor_w ctx (Scc.arg_value_w res c j))
-                else Lattice.Top)
-              c.Ssa.c_args
-          in
-          let cr_globals =
-            Array.to_list c.Ssa.c_global_uses
-            |> List.map (fun ((g : Ir.var), (n : Ssa.name)) ->
-                   ( g.Ir.vid,
-                     if executable then
-                       P.to_t
-                         (Context.censor_w ctx res.Scc.values.(n.Ssa.id))
-                     else Lattice.Top ))
-          in
-          let cr =
-            {
-              Solution.cr_caller = pid;
-              cr_cs_index = c.Ssa.c_cs_id;
-              cr_callee = Callgraph.proc_id_exn pcg c.Ssa.c_callee;
-              cr_executable = executable;
-              cr_args;
-              cr_globals;
-            }
-          in
-          record_idx.(i).(c.Ssa.c_cs_id) <- Some cr;
-          cr)
-        call_sites
-    in
-    records_arr.(i) <- recs;
+    let out = Callgraph.out_edges pcg pid in
+    let row = Array.make (Array.length out) None in
+    List.iter
+      (fun (b, _, (c : Ssa.call)) ->
+        let executable = res.Scc.block_executable.(b) in
+        let cr_args =
+          Array.mapi
+            (fun j _ ->
+              if executable then
+                P.to_t (Context.censor_w ctx (Scc.arg_value_w res c j))
+              else Lattice.Top)
+            c.Ssa.c_args
+        in
+        let cr_globals =
+          Array.to_list c.Ssa.c_global_uses
+          |> List.map (fun ((g : Ir.var), (n : Ssa.name)) ->
+                 ( g.Ir.vid,
+                   if executable then
+                     P.to_t
+                       (Context.censor_w ctx res.Scc.values.(n.Ssa.id))
+                   else Lattice.Top ))
+        in
+        let cr =
+          {
+            Solution.cr_caller = pid;
+            cr_cs_index = c.Ssa.c_cs_id;
+            cr_callee = out.(c.Ssa.c_cs_id).Callgraph.callee;
+            cr_executable = executable;
+            cr_args;
+            cr_globals;
+          }
+        in
+        row.(c.Ssa.c_cs_id) <- Some cr)
+      call_sites;
+    Prog.Proc.Tbl.set rows pid row;
+    if patching then Trace.add c_patch_rows 2;
     (* Streaming solves must not retain each procedure's SSA through the
        retained [Scc.result]: once the records are extracted the result
        keeps every per-name array (the canonical digest reads those) but
        its SSA field is retired to [None] — any later accessor that needs
        the structure raises instead of reading stale state. *)
     if streaming then begin
-      results_arr.(i) <- Some { res with Scc.proc = None };
+      Prog.Proc.Tbl.set results pid (Some { res with Scc.proc = None });
       Context.retire ctx pid
     end
   in
 
-  (match dirty_mask with
+  (* Wavefront shape, needed only to run in parallel (sequentially the
+     cone is swept in order): procedure [i] depends on the distinct cone
+     members that call it over forward (non-back) edges — a clean caller's
+     records are already in [rows], and completion must never enqueue a
+     clean node.  Back edges contribute the FI seed instead and impose no
+     ordering.  The forward-edge graph is acyclic and consistent with
+     reverse postorder by construction, so ids double as wavefront slots. *)
+  let shape () =
+    let in_cone =
+      match dirty with
+      | None -> fun _ -> true
+      | Some _ ->
+          let m = Array.make n false in
+          Array.iter (fun i -> m.(i) <- true) order;
+          fun i -> m.(i)
+    in
+    let deps = Array.make n [] and dependents = Array.make n [] in
+    Array.iter
+      (fun i ->
+        let callers =
+          Array.fold_left
+            (fun acc (e : Callgraph.edge) ->
+              let c = (e.Callgraph.caller :> int) in
+              if e.Callgraph.back || not (in_cone c) then acc else c :: acc)
+            [] (Callgraph.in_edges pcg nodes.(i))
+          |> List.sort_uniq compare
+        in
+        deps.(i) <- callers;
+        List.iter (fun c -> dependents.(c) <- i :: dependents.(c)) callers)
+      order;
+    Array.iter (fun i -> dependents.(i) <- List.rev dependents.(i)) order;
+    (deps, dependents)
+  in
+  let deps, dependents = if jobs <= 1 then ([||], [||]) else shape () in
+  (match dirty with
   | None ->
       (* From-scratch solves shard the frontier: contiguous SCC-whole id
          regions, ~4 per domain, each domain owning its regions' nodes on
-         a private stack.  The canonical assembly below makes the solution
-         independent of the sharding, so this is purely a scheduling
-         change (verified by the digest-equality tests). *)
-      let bounds = shard_regions pcg ~parts:(4 * jobs) in
-      let owners = owners_of_regions bounds ~jobs ~n in
-      Par.wavefront_sharded ~jobs ~owners
-        ~order:(Array.init n (fun i -> i))
-        ~deps ~dependents process
-  | Some m ->
-      (* Restrict the wavefront to the dirty cone: a dirty procedure waits
-         only on its dirty forward callers (clean callers' records are
-         already in [record_idx]), and completion must never enqueue a
-         clean node.  Ascending ids are the forward topological order, so
-         the sequential path is just an in-order sweep of the cone. *)
-      let order =
-        match dirty with Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d | None -> [||]
+         a private stack.  Every output lands in its procedure's own table
+         slot, so the solution is independent of the sharding: this is
+         purely a scheduling change (verified by the digest-equality
+         tests). *)
+      let owners =
+        if jobs <= 1 then [||]
+        else owners_of_regions (shard_regions pcg ~parts:(4 * jobs)) ~jobs ~n
       in
-      let rdeps = Array.make n [] and rdependents = Array.make n [] in
-      Array.iter
-        (fun i ->
-          rdeps.(i) <- List.filter (fun c -> m.(c)) deps.(i);
-          rdependents.(i) <- List.filter (fun d -> m.(d)) dependents.(i))
-        order;
-      Par.wavefront ~jobs ~order ~deps:rdeps ~dependents:rdependents process);
-
-  (* Canonical normalisation point: assemble per-procedure outputs in
-     forward (reverse postorder) node order, so the recorded call-record
-     order — and hence the whole solution — is identical for every [jobs]. *)
-  let db = pcg.Callgraph.db in
-  let entries = Prog.tbl_init db (fun pid -> entries_arr.((pid :> int))) in
-  let scc_results = Prog.tbl_init db (fun pid -> results_arr.((pid :> int))) in
-  let call_records = List.concat (Array.to_list records_arr) in
-  Solution.make ~method_name ~db ~entries ~call_records ~scc_runs:n ~scc_results
+      Par.wavefront_sharded ~jobs ~owners ~order ~deps ~dependents process
+  | Some _ -> Par.wavefront ~jobs ~order ~deps ~dependents process);
+  {
+    Solution.method_name;
+    db;
+    entries;
+    call_index = rows;
+    scc_runs = n;
+    scc_results = results;
+  }
 
 let solve ?jobs ?fi
     ?(call_def_value :

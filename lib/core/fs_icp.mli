@@ -25,6 +25,19 @@ val method_name : string
     exposed for the region-invariant tests. *)
 val shard_regions : Fsicp_callgraph.Callgraph.t -> parts:int -> int array
 
+(** [call_def_by_callee calls f] — the SCC kernel's per-callee
+    call-definition hook ([Scc.config.call_def_value]) built from a
+    per-call oracle [f] answering in packed words: the meet of [f] over
+    the calls to the queried callee among [calls] (a procedure's
+    {!Fsicp_ssa.Ssa.call_sites}), ⊥ when there are none.  The calls are
+    indexed by callee once. *)
+val call_def_by_callee :
+  (int * int * Fsicp_ssa.Ssa.call) list ->
+  (Fsicp_ssa.Ssa.call -> Fsicp_cfg.Ir.var -> int) ->
+  callee:string ->
+  Fsicp_cfg.Ir.var ->
+  int
+
 (** [solve ?jobs ?fi ?call_def_value ctx]:
     [jobs] is the number of worker domains for the wavefront traversal
     (default {!Fsicp_par.Par.default_jobs}; [1] is the sequential

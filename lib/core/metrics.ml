@@ -85,7 +85,7 @@ let candidates (ctx : Context.t) ~(fi : Solution.t) ~(fs : Solution.t)
     List.fold_left
       (fun acc (cr : Solution.callsite_record) ->
         acc + count_const cr.Solution.cr_args)
-      0 fi.Solution.call_records
+      0 (Solution.call_records fi)
   in
   let fs_args =
     List.fold_left
@@ -93,7 +93,7 @@ let candidates (ctx : Context.t) ~(fi : Solution.t) ~(fs : Solution.t)
         if cr.Solution.cr_executable then
           acc + count_const cr.Solution.cr_args
         else acc)
-      0 fs.Solution.call_records
+      0 (Solution.call_records fs)
   in
   let gl_fi =
     Context.blockdata_env ctx
@@ -117,7 +117,7 @@ let candidates (ctx : Context.t) ~(fi : Solution.t) ~(fs : Solution.t)
               else (n, nv))
             (n, nv) cr.Solution.cr_globals
         else (n, nv))
-      (0, 0) fs.Solution.call_records
+      (0, 0) (Solution.call_records fs)
   in
   {
     cd_program = name;

@@ -36,7 +36,8 @@ open Fsicp_scc
     global holds when the procedure returns. *)
 type summary = {
   rs_formals : Lattice.t array;
-  rs_globals : (Prog.Var.id * Lattice.t) list;
+  rs_globals : (Prog.Var.id * Lattice.t) array;
+      (** every program global, sorted by interned id *)
 }
 
 type t = {
@@ -50,6 +51,32 @@ type t = {
 let summary_of t proc = Hashtbl.find_opt t.summaries proc
 
 module P = Lattice.P
+
+(* Binary search of an id-sorted association array. *)
+let find_sorted (a : (Prog.Var.id * 'a) array) (g : Prog.Var.id) : 'a option
+    =
+  let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref None in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let g', v = a.(mid) in
+    let c = Prog.Var.compare g' g in
+    if c = 0 then begin
+      found := Some v;
+      lo := !hi + 1
+    end
+    else if c < 0 then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !found
+
+let sorted_by_id l =
+  let a = Array.of_list l in
+  Array.stable_sort (fun (g, _) (h, _) -> Prog.Var.compare g h) a;
+  a
+
+(** Exit value of global [g] in a summary ([Bot] when untracked). *)
+let exit_global (s : summary) g : Lattice.t =
+  Option.value (find_sorted s.rs_globals g) ~default:Lattice.Bot
 
 (** The post-call value (a packed lattice word) of caller-side variable [v]
     for call [c], given the callee's exit summary: meet over every channel
@@ -74,7 +101,7 @@ let call_def_value_from (summaries : (string, summary) Hashtbl.t)
         c.Ssa.c_args;
       (match v.Ir.vkind with
       | Ir.Global -> (
-          match List.assoc_opt v.Ir.vid s.rs_globals with
+          match find_sorted s.rs_globals v.Ir.vid with
           | Some gv -> acc := P.meet !acc (P.of_t gv)
           | None -> acc := P.bot)
       | Ir.Formal _ | Ir.Local | Ir.Temp -> ());
@@ -88,7 +115,15 @@ let call_def_value_from (summaries : (string, summary) Hashtbl.t)
     One additional SCC per procedure. *)
 let compute (ctx : Context.t) ~(fs : Solution.t) : t =
   let pcg = ctx.Context.pcg in
-  let blockdata = Context.blockdata_env ctx in
+  let main = ctx.Context.prog.Ast.main in
+  let blockdata = sorted_by_id (Context.blockdata_env ctx) in
+  (* Every program global, interned once, in id order. *)
+  let globals =
+    Array.of_list (List.map Ir.global ctx.Context.prog.Ast.globals)
+  in
+  Array.stable_sort
+    (fun (a : Ir.var) (b : Ir.var) -> Prog.Var.compare a.Ir.vid b.Ir.vid)
+    globals;
   let summaries : (string, summary) Hashtbl.t = Hashtbl.create 16 in
   let refined = Hashtbl.create 16 in
   let runs = ref 0 in
@@ -96,6 +131,8 @@ let compute (ctx : Context.t) ~(fs : Solution.t) : t =
     (fun pid ->
       let proc = Callgraph.proc_name pcg pid in
       let entry = Solution.entry_at fs pid in
+      (* [pe_globals] is sorted by id already. *)
+      let entry_globals = Array.of_list entry.Solution.pe_globals in
       let entry_env (v : Ir.var) : int =
         P.of_t
           (match v.Ir.vkind with
@@ -104,28 +141,19 @@ let compute (ctx : Context.t) ~(fs : Solution.t) : t =
                 entry.Solution.pe_formals.(i)
               else Lattice.Bot
           | Ir.Global -> (
-              match List.assoc_opt v.Ir.vid entry.Solution.pe_globals with
+              match find_sorted entry_globals v.Ir.vid with
               | Some value -> value
               | None ->
-                  if String.equal proc ctx.Context.prog.Ast.main then
-                    match List.assoc_opt v.Ir.vid blockdata with
-                    | Some value -> value
-                    | None -> Lattice.Bot
+                  if String.equal proc main then
+                    Option.value (find_sorted blockdata v.Ir.vid)
+                      ~default:Lattice.Bot
                   else Lattice.Bot)
           | Ir.Local | Ir.Temp -> Lattice.Bot)
       in
       let ssa = Context.ssa_at ctx pid in
-      let cdv ~callee v =
-        (* Locate the calls to [callee] and meet their summary effects. *)
-        List.fold_left
-          (fun acc (_, _, (c : Ssa.call)) ->
-            if String.equal c.Ssa.c_callee callee then
-              P.meet acc
-                (call_def_value_from summaries ~censor:(Context.censor_w ctx)
-                   c v)
-            else acc)
-          P.top (Ssa.call_sites ssa)
-        |> fun r -> if r = P.top then P.bot else r
+      let cdv =
+        Fs_icp.call_def_by_callee (Ssa.call_sites ssa)
+          (call_def_value_from summaries ~censor:(Context.censor_w ctx))
       in
       let res =
         Scc.run ~config:{ Scc.entry_env; call_def_value = cdv } ssa
@@ -143,11 +171,10 @@ let compute (ctx : Context.t) ~(fs : Solution.t) : t =
              formals)
       in
       let rs_globals =
-        List.map
-          (fun g ->
-            let gv = Ir.global g in
+        Array.map
+          (fun (gv : Ir.var) ->
             (gv.Ir.vid, Context.censor ctx (Scc.exit_value res gv)))
-          ctx.Context.prog.Ast.globals
+          globals
       in
       Hashtbl.replace summaries proc { rs_formals; rs_globals })
     (Callgraph.reverse_order pcg);

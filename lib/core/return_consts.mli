@@ -10,7 +10,8 @@ open Fsicp_scc
 
 type summary = {
   rs_formals : Lattice.t array;  (** exit value per formal's location *)
-  rs_globals : (Fsicp_prog.Prog.Var.id * Lattice.t) list;
+  rs_globals : (Fsicp_prog.Prog.Var.id * Lattice.t) array;
+      (** exit value of every program global, sorted by interned id *)
 }
 
 type t = {
@@ -21,6 +22,10 @@ type t = {
 }
 
 val summary_of : t -> string -> summary option
+
+(** Exit value of a global in a summary (binary search; [Bot] when the
+    global is not tracked). *)
+val exit_global : summary -> Fsicp_prog.Prog.Var.id -> Lattice.t
 
 (** Post-call value of a caller-side variable for one call, given the
     callee's summary: the meet over every channel (by-reference argument

@@ -47,11 +47,13 @@ type t = {
   method_name : string;
   db : Prog.t;
   entries : proc_entry Prog.Proc.Tbl.t;  (** per reachable procedure *)
-  call_records : callsite_record list;
   call_index : callsite_record option array Prog.Proc.Tbl.t;
-      (** the same records, by caller id and [cs_index]; built by {!make}
-          in the same pass as the list, so {!find_call_record} is an array
-          load *)
+      (** the call records: one row per caller, indexed by [cs_index].
+          This is the only copy — {!call_records} derives the list from it
+          in canonical (caller id, [cs_index]) order — so an incremental
+          solve patches a solution by copying the dense tables and
+          replacing the rows it recomputed, and {!find_call_record} is an
+          array load *)
   scc_runs : int;
       (** number of flow-sensitive intraprocedural analyses performed — the
           paper's headline is that the FS method needs exactly one per
@@ -61,9 +63,8 @@ type t = {
           everywhere for flow-insensitive methods) *)
 }
 
-(** Assemble a solution, indexing the call records by (caller, cs_index) in
-    the same pass.  When duplicates exist the first record wins, matching
-    the former linear scan. *)
+(** Assemble a solution from a list of call records, filing each into its
+    caller's row.  When duplicates exist the first record wins. *)
 let make ~method_name ~db ~entries ~call_records ~scc_runs ~scc_results : t =
   (* Row sizes: the maximum cs_index per caller among the records. *)
   let n = Prog.n_procs db in
@@ -79,7 +80,18 @@ let make ~method_name ~db ~entries ~call_records ~scc_runs ~scc_results : t =
       let row = Prog.Proc.Tbl.get call_index cr.cr_caller in
       if row.(cr.cr_cs_index) = None then row.(cr.cr_cs_index) <- Some cr)
     call_records;
-  { method_name; db; entries; call_records; call_index; scc_runs; scc_results }
+  { method_name; db; entries; call_index; scc_runs; scc_results }
+
+(** Every call record, caller id ascending, then [cs_index] ascending. *)
+let fold_call_records f t acc =
+  Prog.Proc.Tbl.fold
+    (fun _ row acc ->
+      Array.fold_left
+        (fun acc -> function Some cr -> f cr acc | None -> acc)
+        acc row)
+    t.call_index acc
+
+let call_records t = List.rev (fold_call_records List.cons t [])
 
 let empty_entry = { pe_formals = [||]; pe_globals = [] }
 let proc_name t pid = Prog.proc_name t.db pid
@@ -138,74 +150,120 @@ let find_call_record t ~caller ~cs_index =
   let row = Prog.Proc.Tbl.get t.call_index caller in
   if cs_index < Array.length row then row.(cs_index) else None
 
+(* Digest writers: straight into the buffer, no intermediate strings.
+   [add_lattice] spells a value exactly as {!Lattice.to_string} does. *)
+let add_value b (v : Fsicp_lang.Value.t) =
+  match v with
+  | Fsicp_lang.Value.Int n -> Buffer.add_string b (string_of_int n)
+  | Fsicp_lang.Value.Real r ->
+      Buffer.add_string b (Fsicp_lang.Value.real_to_string r)
+
+let add_lattice b (v : Lattice.t) =
+  match v with
+  | Lattice.Top -> Buffer.add_string b "⊤"
+  | Lattice.Bot -> Buffer.add_string b "⊥"
+  | Lattice.Const c -> add_value b c
+
+let add_word b w =
+  if w = Lattice.P.top then Buffer.add_string b "⊤"
+  else if w = Lattice.P.bot then Buffer.add_string b "⊥"
+  else add_value b (Lattice.P.const_value w)
+
+(* [ g=v] per global, in name order: a solution's global lists are sorted
+   by interned id (or not at all), and ids depend on the order in which
+   the process happened to intern the names. *)
+let add_globals b (gs : (Prog.Var.id * Lattice.t) list) =
+  let by_name =
+    match gs with
+    | [] | [ _ ] -> gs
+    | _ ->
+        List.stable_sort
+          (fun (g, _) (h, _) ->
+            String.compare (Prog.Var.name g) (Prog.Var.name h))
+          gs
+  in
+  List.iter
+    (fun (g, v) ->
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Prog.Var.name g);
+      Buffer.add_char b '=';
+      add_lattice b v)
+    by_name
+
+let hex = "0123456789abcdef"
+
 (** Canonical full print — every field down to the per-procedure SCC
     results — keyed by {e names}, never by the ids a particular context
-    minted, so digests of independent solves of the same program are
-    comparable.  Two solutions are byte-identical iff their digests are
-    equal: the incremental engine's correctness oracle and the serve
-    daemon's [digest] request are both this function. *)
+    or process minted (globals come out in name order), so digests of
+    independent solves of the same program are comparable.  Two solutions
+    are byte-identical iff their digests are equal: the incremental
+    engine's correctness oracle and the serve daemon's [digest] request
+    are both this function. *)
 let digest (s : t) : string =
   let b = Buffer.create 4096 in
   let db = s.db in
-  Buffer.add_string b
-    (Printf.sprintf "method %s scc_runs %d\n" s.method_name s.scc_runs);
-  Array.iter
-    (fun pid ->
-      let e = entry_at s pid in
-      Buffer.add_string b (Printf.sprintf "entry %s:" (Prog.proc_name db pid));
+  let str = Buffer.add_string b in
+  str "method ";
+  str s.method_name;
+  str " scc_runs ";
+  str (string_of_int s.scc_runs);
+  Buffer.add_char b '\n';
+  Prog.Proc.Tbl.iteri
+    (fun pid e ->
+      str "entry ";
+      str (Prog.proc_name db pid);
+      Buffer.add_char b ':';
       Array.iter
         (fun v ->
-          Buffer.add_string b (Printf.sprintf " %s" (Lattice.to_string v)))
+          Buffer.add_char b ' ';
+          add_lattice b v)
         e.pe_formals;
-      List.iter
-        (fun (g, v) ->
-          Buffer.add_string b
-            (Printf.sprintf " %s=%s" (Prog.Var.name g) (Lattice.to_string v)))
-        e.pe_globals;
+      add_globals b e.pe_globals;
       Buffer.add_char b '\n')
-    (Prog.procs db);
-  List.iter
-    (fun cr ->
-      Buffer.add_string b
-        (Printf.sprintf "call %s#%d->%s exec=%b:"
-           (Prog.proc_name db cr.cr_caller)
-           cr.cr_cs_index
-           (Prog.proc_name db cr.cr_callee)
-           cr.cr_executable);
+    s.entries;
+  fold_call_records
+    (fun cr () ->
+      str "call ";
+      str (Prog.proc_name db cr.cr_caller);
+      Buffer.add_char b '#';
+      str (string_of_int cr.cr_cs_index);
+      str "->";
+      str (Prog.proc_name db cr.cr_callee);
+      str (if cr.cr_executable then " exec=true:" else " exec=false:");
       Array.iter
         (fun v ->
-          Buffer.add_string b (Printf.sprintf " %s" (Lattice.to_string v)))
+          Buffer.add_char b ' ';
+          add_lattice b v)
         cr.cr_args;
-      List.iter
-        (fun (g, v) ->
-          Buffer.add_string b
-            (Printf.sprintf " %s=%s" (Prog.Var.name g) (Lattice.to_string v)))
-        cr.cr_globals;
+      add_globals b cr.cr_globals;
       Buffer.add_char b '\n')
-    s.call_records;
-  Array.iter
-    (fun pid ->
-      match Prog.Proc.Tbl.get s.scc_results pid with
+    s ();
+  Prog.Proc.Tbl.iteri
+    (fun pid r ->
+      match r with
       | None -> ()
       | Some (r : Scc.result) ->
-          Buffer.add_string b
-            (Printf.sprintf "scc %s values:" (Prog.proc_name db pid));
+          str "scc ";
+          str (Prog.proc_name db pid);
+          str " values:";
           Array.iter
             (fun w ->
-              Buffer.add_string b
-                (Printf.sprintf " %s" (Lattice.to_string (Lattice.P.to_t w))))
+              Buffer.add_char b ' ';
+              add_word b w)
             r.Scc.values;
-          Buffer.add_string b " blocks:";
+          str " blocks:";
           Array.iter
             (fun x -> Buffer.add_char b (if x then '1' else '0'))
             r.Scc.block_executable;
-          Buffer.add_string b " edges:";
+          str " edges:";
           Bytes.iter
             (fun c ->
-              Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
+              let k = Char.code c in
+              Buffer.add_char b hex.[k lsr 4];
+              Buffer.add_char b hex.[k land 15])
             r.Scc.edge_exec;
           Buffer.add_char b '\n')
-    (Prog.procs db);
+    s.scc_results;
   Buffer.contents b
 
 let pp ppf t =

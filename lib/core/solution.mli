@@ -34,10 +34,9 @@ type t = {
   method_name : string;
   db : Prog.t;  (** the program database the ids below belong to *)
   entries : proc_entry Prog.Proc.Tbl.t;
-  call_records : callsite_record list;
   call_index : callsite_record option array Prog.Proc.Tbl.t;
-      (** records by caller id and [cs_index]; kept consistent with
-          [call_records] by {!make} *)
+      (** the call records, one row per caller indexed by [cs_index] —
+          their only copy; {!call_records} derives the list *)
   scc_runs : int;
       (** flow-sensitive intraprocedural analyses performed — the paper's
           headline is exactly one per procedure for the FS method *)
@@ -46,8 +45,8 @@ type t = {
           everywhere for flow-insensitive methods) *)
 }
 
-(** Assemble a solution, building the dense [(caller, cs_index)]
-    call-record index in the same pass as the list. *)
+(** Assemble a solution from a list of call records, filing each into the
+    dense [(caller, cs_index)] rows (the first of duplicates wins). *)
 val make :
   method_name:string ->
   db:Prog.t ->
@@ -56,6 +55,14 @@ val make :
   scc_runs:int ->
   scc_results:Scc.result option Prog.Proc.Tbl.t ->
   t
+
+(** Every call record in canonical order: caller id ascending, then
+    [cs_index] ascending. *)
+val call_records : t -> callsite_record list
+
+(** [fold_call_records f t acc] folds over {!call_records} without
+    building the list. *)
+val fold_call_records : (callsite_record -> 'a -> 'a) -> t -> 'a -> 'a
 
 val empty_entry : proc_entry
 
@@ -81,8 +88,9 @@ val find_call_record :
   t -> caller:Prog.Proc.id -> cs_index:int -> callsite_record option
 
 (** Canonical full print — entries, call records, per-procedure SCC
-    results, [scc_runs] — keyed by names, never by context-minted ids, so
-    digests of independent solves of the same program are comparable.
+    results, [scc_runs] — keyed by names, never by context- or
+    process-minted ids (globals are listed in name order), so digests of
+    independent solves of the same program are comparable.
     Byte-equality of digests is the definition of "identical solutions"
     used by the incremental-engine oracle and the serve daemon. *)
 val digest : t -> string

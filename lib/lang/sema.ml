@@ -46,10 +46,55 @@ let classifier ~globals ~formals : string -> var_class =
   fun x ->
     match Hashtbl.find_opt tbl x with Some c -> c | None -> Local
 
-let check (prog : Ast.program) : (unit, error list) result =
+(* The checks local to one procedure.  [lookup] resolves a procedure name
+   in the whole program; [report] records an error. *)
+let check_proc_with ~report ~(lookup : string -> Ast.proc option)
+    (p : Ast.proc) =
+  let err ~pos fmt =
+    Fmt.kstr (fun msg -> report { msg; where = p.pname; pos }) fmt
+  in
+  let rec dup_formals seen = function
+    | [] -> ()
+    | f :: tl ->
+        if List.mem f seen then err ~pos:p.ppos "duplicate formal '%s'" f;
+        dup_formals (f :: seen) tl
+  in
+  dup_formals [] p.formals;
+  List.iter
+    (fun f ->
+      if lookup f <> None then
+        err ~pos:p.ppos "formal '%s' has the same name as a procedure" f)
+    p.formals;
+  Ast.iter_stmts
+    (fun s ->
+      match s.sdesc with
+      | Ast.Call (q, args) -> (
+          match lookup q with
+          | None -> err ~pos:s.spos "call to undefined procedure '%s'" q
+          | Some callee ->
+              let want = List.length callee.formals in
+              let got = List.length args in
+              if want <> got then
+                err ~pos:s.spos
+                  "call to '%s' passes %d argument(s), expected %d" q got want)
+      | Ast.Assign (x, _) ->
+          if lookup x <> None then
+            err ~pos:s.spos "assignment to '%s' which is a procedure name" x
+      | Ast.If _ | Ast.While _ | Ast.Return | Ast.Print _ -> ())
+    p.body
+
+(* An error accumulator: where the checks report, and the result in
+   report order. *)
+let collector () =
   let errs = ref [] in
+  let report e = errs := e :: !errs in
+  let result () = match List.rev !errs with [] -> Ok () | es -> Error es in
+  (report, result)
+
+let check (prog : Ast.program) : (unit, error list) result =
+  let report, result = collector () in
   let err ?(pos = Ast.no_pos) where fmt =
-    Fmt.kstr (fun msg -> errs := { msg; where; pos } :: !errs) fmt
+    Fmt.kstr (fun msg -> report { msg; where; pos }) fmt
   in
   let where_prog = "<program>" in
   (* Duplicate globals *)
@@ -88,46 +133,30 @@ let check (prog : Ast.program) : (unit, error list) result =
           prog.main);
   (* Per-procedure checks *)
   List.iter
-    (fun (p : Ast.proc) ->
-      let rec dup_formals seen = function
-        | [] -> ()
-        | f :: tl ->
-            if List.mem f seen then
-              err ~pos:p.ppos p.pname "duplicate formal '%s'" f;
-            dup_formals (f :: seen) tl
-      in
-      dup_formals [] p.formals;
-      List.iter
-        (fun f ->
-          if Hashtbl.mem ptable f then
-            err ~pos:p.ppos p.pname
-              "formal '%s' has the same name as a procedure" f)
-        p.formals;
-      Ast.iter_stmts
-        (fun s ->
-          match s.sdesc with
-          | Ast.Call (q, args) -> (
-              match Hashtbl.find_opt ptable q with
-              | None ->
-                  err ~pos:s.spos p.pname "call to undefined procedure '%s'" q
-              | Some callee ->
-                  let want = List.length callee.formals in
-                  let got = List.length args in
-                  if want <> got then
-                    err ~pos:s.spos p.pname
-                      "call to '%s' passes %d argument(s), expected %d" q got
-                      want)
-          | Ast.Assign (x, _) ->
-              if Hashtbl.mem ptable x then
-                err ~pos:s.spos p.pname
-                  "assignment to '%s' which is a procedure name" x
-          | Ast.If _ | Ast.While _ | Ast.Return | Ast.Print _ -> ())
-        p.body)
+    (check_proc_with ~report ~lookup:(Hashtbl.find_opt ptable))
     prog.procs;
-  match List.rev !errs with [] -> Ok () | es -> Error es
+  result ()
+
+(** [check_proc ~lookup p] runs only the checks local to procedure [p]
+    (formals, call resolution and arity, assignments to procedure names),
+    resolving names through [lookup].  For a [check]-clean program whose
+    procedure [p] replaced one of the same name and formals, the edited
+    program passes {!check} iff [check_proc] passes, with the same errors:
+    the program-level checks (globals, block data, duplicate procedures,
+    the entry point) and every other procedure's checks see nothing that
+    changed. *)
+let check_proc ~lookup (p : Ast.proc) : (unit, error list) result =
+  let report, result = collector () in
+  check_proc_with ~report ~lookup p;
+  result ()
 
 (** [check_exn prog] raises {!Illformed} when [check] reports errors. *)
 let check_exn prog =
   match check prog with Ok () -> () | Error es -> raise (Illformed es)
+
+let check_proc_exn ~lookup p =
+  match check_proc ~lookup p with
+  | Ok () -> ()
+  | Error es -> raise (Illformed es)
 
 let errors_to_string es = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut pp_error) es

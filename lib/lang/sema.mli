@@ -30,4 +30,16 @@ val check : Ast.program -> (unit, error list) result
 (** @raise Illformed when [check] reports errors. *)
 val check_exn : Ast.program -> unit
 
+(** [check_proc ~lookup p]: only the checks local to procedure [p]
+    (duplicate formals, formals named like procedures, call resolution
+    and arity, assignments to procedure names), resolving procedure names
+    through [lookup].  When [p] replaces the procedure of the same name
+    and formals in a [check]-clean program, the edited program passes
+    {!check} iff [check_proc] passes, with the same errors. *)
+val check_proc :
+  lookup:(string -> Ast.proc option) -> Ast.proc -> (unit, error list) result
+
+(** @raise Illformed when [check_proc] reports errors. *)
+val check_proc_exn : lookup:(string -> Ast.proc option) -> Ast.proc -> unit
+
 val errors_to_string : error list -> string

@@ -179,10 +179,7 @@ let check_returns_sound ?(fuel = default_fuel) (prog : Ast.program)
                   if i < Array.length s.Return_consts.rs_formals then
                     s.Return_consts.rs_formals.(i)
                   else L.Bot)
-                ~global_claim:(fun g ->
-                  match List.assoc_opt g s.Return_consts.rs_globals with
-                  | Some v -> v
-                  | None -> L.Bot))
+                ~global_claim:(Return_consts.exit_global s))
         r.I.exits
       |> function
       | Some v -> Error v
@@ -521,10 +518,19 @@ let random_edit (rng : Random.State.t) (prog : Ast.program) : Ast.proc =
     append (stmt (Ast.Assign ("zz_edit_tmp", Ast.Const (lit ()))))
   else if roll < 14 then p (* no-op: re-submit the current body verbatim *)
   else begin
-    (* Shape-changing: append a call to a random procedure, literal
-       arguments (by-value temporaries, so Sema stays clean). *)
+    (* Shape-changing: append a call to a random procedure.  Arguments
+       are literals or, half the time when [p] has formals, one of [p]'s
+       formals passed through bare: generated programs have almost no
+       pass-through arguments, and later literal edits upstream must then
+       re-box the forwarding caller's flow-insensitive records. *)
     let q = procs.(Random.State.int rng (Array.length procs)) in
-    let args = List.map (fun _ -> Ast.Const (lit ())) q.Ast.formals in
+    let formals = Array.of_list p.Ast.formals in
+    let arg () =
+      if Array.length formals > 0 && Random.State.bool rng then
+        Ast.Var formals.(Random.State.int rng (Array.length formals))
+      else Ast.Const (lit ())
+    in
+    let args = List.map (fun _ -> arg ()) q.Ast.formals in
     append (stmt (Ast.Call (q.Ast.pname, args)))
   end
 
@@ -535,8 +541,9 @@ let describe_outcome = function
 
 (** Drive the same random edit sequence through two live engines
     ([jobs = 1] and [jobs = N]) and, after {e every} edit, demand both
-    engines' solutions be byte-identical — via {!solution_digest} — to a
-    from-scratch solve of the current program.  This is the incremental
+    engines' flow-sensitive and flow-insensitive solutions be
+    byte-identical — via {!solution_digest} — to a from-scratch solve of
+    the current program.  This is the incremental
     engine's whole correctness contract in one check. *)
 let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
   let jobs =
@@ -561,6 +568,12 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
       let d_ref = solution_digest fs in
       let d1 = solution_digest (Engine.solution e1) in
       let dn = solution_digest (Engine.solution en) in
+      (* The flow-insensitive solution is patched on the incremental route
+         too, and serve answers [query-entry] with method fi from it. *)
+      let fi_ref = solution_digest fi in
+      let fi_diverged e =
+        not (String.equal (solution_digest (Engine.fi_solution e)) fi_ref)
+      in
       if
         not
           (String.equal (describe_outcome o1) (describe_outcome on))
@@ -580,6 +593,18 @@ let check_edit_sequence_body ?jobs ?(edits = 5) seed : (unit, failure) result =
           (fail_check "incremental:jobsN"
              "edit %d of %d (proc %s, %s): jobs=%d solution diverged from \
               from-scratch"
+             i edits p.Ast.pname (describe_outcome on) jobs)
+      else if fi_diverged e1 then
+        Error
+          (fail_check "incremental:fi-jobs1"
+             "edit %d of %d (proc %s, %s): flow-insensitive solution diverged \
+              from from-scratch"
+             i edits p.Ast.pname (describe_outcome o1))
+      else if fi_diverged en then
+        Error
+          (fail_check "incremental:fi-jobsN"
+             "edit %d of %d (proc %s, %s): jobs=%d flow-insensitive solution \
+              diverged from from-scratch"
              i edits p.Ast.pname (describe_outcome on) jobs)
       else go (i + 1)
     end

@@ -102,23 +102,28 @@ val check_seed : ?fuel:int -> ?jobs:int -> int -> (unit, failure) result
 val check_transform_vc : ?fuel:int -> Ast.program -> (unit, failure) result
 
 (** Canonical full print of a solution — entries, call records, SCC
-    results, [scc_runs] — keyed by names, never by context-minted ids, so
-    digests of independent solves of the same program are comparable.
+    results, [scc_runs] — keyed by names, never by context- or
+    process-minted ids, so digests of independent solves of the same
+    program are comparable.
     Byte-equality of digests is the oracle's definition of "identical
     solutions". *)
 val solution_digest : Solution.t -> string
 
 (** One random procedure edit of [prog]: mostly shape-preserving literal
     tweaks / appended statements / no-ops, with an occasional appended
-    call site that changes the program shape.  The result always yields a
+    call site that changes the program shape (its arguments are literals
+    or the edited procedure's own formals passed through bare, so later
+    edits exercise pass-through constants).  The result always yields a
     [Sema]-clean program when substituted into [prog]. *)
 val random_edit : Random.State.t -> Ast.program -> Ast.proc
 
 (** [check_edit_sequence ?jobs ?edits seed] drives the same random edit
     sequence (default 5 edits) through two live incremental engines
     ([jobs = 1] and [jobs = N, N ≥ 2]) and, after every edit, checks both
-    engines' solutions are byte-identical ({!solution_digest}) to a
-    from-scratch solve of the current program, and that both engines chose
+    engines' flow-sensitive {e and} flow-insensitive solutions
+    ({!Fsicp_core.Engine.solution}, {!Fsicp_core.Engine.fi_solution}) are
+    byte-identical ({!solution_digest}) to a from-scratch solve of the
+    current program, and that both engines chose
     the same incremental-vs-rebuild route.  After the last edit the
     beyond-the-paper methods are checked on the final program too: cc and
     vc must be interpreter-sound and satisfy [fs ⊑ cc] / [fs ⊑ vc]. *)

@@ -92,7 +92,8 @@ end
 
     - [order] lists all nodes in a topological order of [deps]; with
       [jobs <= 1] the nodes are processed sequentially in exactly this
-      order.
+      order, and [deps] and [dependents] are never read (callers may pass
+      empty arrays rather than build them).
     - [deps.(i)] are the nodes that must complete before [i] starts;
       [dependents.(i)] is the inverse relation.  Both must mention each
       edge exactly once (no duplicates).
@@ -138,8 +139,8 @@ val wavefront :
     {!wavefront}: any [owners] assignment yields the same set of [process]
     calls with the same happens-before edges, so a caller that assembles
     results canonically (by node index) is bit-identical across [jobs] and
-    [owners].  [jobs <= 1] ignores [owners] and runs sequentially in
-    [order]. *)
+    [owners].  [jobs <= 1] ignores [owners], [deps] and [dependents] and
+    runs sequentially in [order]. *)
 val wavefront_sharded :
   jobs:int ->
   owners:int array ->

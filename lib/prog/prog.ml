@@ -37,6 +37,7 @@ module Proc = struct
       !acc
 
     let map = Array.map
+    let copy = Array.copy
   end
 end
 

@@ -45,6 +45,11 @@ module Proc : sig
     val iteri : (id -> 'a -> unit) -> 'a t -> unit
     val fold : (id -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
     val map : ('a -> 'b) -> 'a t -> 'b t
+
+    val copy : 'a t -> 'a t
+    (** A fresh table with the same bindings, O(n); patching one is how
+        an incremental solve shares every unchanged row with its
+        predecessor. *)
   end
 end
 

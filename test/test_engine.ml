@@ -1,11 +1,16 @@
 (** Tests for the incremental {!Engine}: edit routing (incremental vs
     rebuild), byte-identity of incremental solutions against from-scratch
-    solves, SCC memo reuse across edit→re-solve cycles (hits on no-op
-    edits, evictions under churn), {!Context.reset_scc_memos}, and an
-    in-suite edit-sequence oracle smoke at [jobs ∈ {1, 4}]. *)
+    solves, O(cone) work per shape-preserving edit (by trace counters),
+    per-procedure well-formedness checks, digest independence from
+    interning order, SCC memo reuse across edit→re-solve cycles (hits on
+    no-op edits, evictions under churn), {!Context.reset_scc_memos}, and
+    an in-suite edit-sequence oracle smoke at [jobs ∈ {1, 4}]. *)
 
 open Fsicp_lang
 open Fsicp_core
+module Callgraph = Fsicp_callgraph.Callgraph
+module Prog = Fsicp_prog.Prog
+module Scale = Fsicp_workloads.Scale
 module Trace = Fsicp_trace.Trace
 module Scc = Fsicp_scc.Scc
 module Oracle = Fsicp_oracle.Oracle
@@ -84,6 +89,240 @@ let test_stats_track_edits () =
   Alcotest.(check int) "edits" 2 (get "edits");
   Alcotest.(check int) "incremental_edits" 1 (get "incremental_edits");
   Alcotest.(check int) "rebuilds" 1 (get "rebuilds")
+
+(* -- O(cone) work per edit ------------------------------------------------- *)
+
+(* Both solutions of the engine equal fresh solves of its program. *)
+let check_both_match_scratch msg e =
+  let ctx = Context.create ~jobs:1 (Engine.context e).Context.prog in
+  let fi = Fi_icp.solve ctx in
+  Alcotest.(check string)
+    (msg ^ " (fi)") (Solution.digest fi)
+    (Solution.digest (Engine.fi_solution e));
+  Alcotest.(check string)
+    (msg ^ " (fs)")
+    (Solution.digest (Fs_icp.solve ~jobs:1 ~fi ctx))
+    (Solution.digest (Engine.solution e))
+
+(* The deterministic counters an incremental edit moves, as deltas. *)
+let edit_counters e p =
+  let names =
+    [ "fi.patch.reboxed"; "fs.patch.rows"; "fs.resolve.reused";
+      "engine.sema.full" ]
+  in
+  let before = List.map Trace.counter_total names in
+  let outcome = Engine.edit_proc ~jobs:1 e p in
+  let delta =
+    List.map2 (fun name b -> (name, Trace.counter_total name - b)) names before
+  in
+  (outcome, fun name -> List.assoc name delta)
+
+(* Every body integer literal shifted by one (the shape stays). *)
+let bump_literals (p : Ast.proc) =
+  let rec expr (x : Ast.expr) =
+    match x with
+    | Ast.Const (Value.Int k) -> Ast.Const (Value.Int (k + 1))
+    | Ast.Const _ | Ast.Var _ -> x
+    | Ast.Unary (o, a) -> Ast.Unary (o, expr a)
+    | Ast.Binary (o, a, b) -> Ast.Binary (o, expr a, expr b)
+  in
+  let rec stmt (st : Ast.stmt) =
+    let d =
+      match st.Ast.sdesc with
+      | Ast.Assign (x, v) -> Ast.Assign (x, expr v)
+      | Ast.If (c, a, b) -> Ast.If (expr c, List.map stmt a, List.map stmt b)
+      | Ast.While (c, b) -> Ast.While (expr c, List.map stmt b)
+      | Ast.Call (q, args) -> Ast.Call (q, List.map expr args)
+      | Ast.Print v -> Ast.Print (expr v)
+      | Ast.Return -> Ast.Return
+    in
+    { st with Ast.sdesc = d }
+  in
+  { p with Ast.body = List.map stmt p.Ast.body }
+
+(* On a 2000-procedure corpus, a literal edit of a leaf procedure must do
+   work proportional to its cone, not to the program: the re-boxed FI
+   rows, the FS rows written and the whole-program Sema checks are
+   counted, so a slide back to O(program) fails here without any
+   wall-clock threshold.  Every changed FI row belongs to a cone member
+   (a changed record's callee is forward-reachable from the edit or seeds
+   the cone over its back edge), so both row counts are at most two per
+   cone member. *)
+let test_leaf_edit_is_o_cone () =
+  let prog =
+    Scale.generate
+      { Scale.sp_family = Scale.Mixed; sp_procs = 2000; sp_seed = 1 }
+  in
+  let e = Engine.create ~jobs:1 prog in
+  let pcg = (Engine.context e).Context.pcg in
+  let leaf =
+    List.find
+      (fun (p : Ast.proc) ->
+        Callgraph.is_reachable pcg p.Ast.pname && Ast.call_sites p = [])
+      prog.Ast.procs
+  in
+  let edited = bump_literals leaf in
+  let edited =
+    { edited with Ast.body = edited.Ast.body @ [ Ast.print (Ast.int 7) ] }
+  in
+  match edit_counters e edited with
+  | Engine.Rebuilt why, _ -> Alcotest.failf "unexpected rebuild: %s" why
+  | Engine.Incremental { dirty; total }, delta ->
+      Alcotest.(check bool)
+        "corpus has >= 2000 procedures" true (total >= 2000);
+      Alcotest.(check int) "a leaf's cone is itself" 1 dirty;
+      Alcotest.(check bool)
+        (Printf.sprintf "FI rows re-boxed (%d) <= 2 x cone"
+           (delta "fi.patch.reboxed"))
+        true
+        (delta "fi.patch.reboxed" <= 2 * dirty);
+      Alcotest.(check int) "FS rows written = 2 x cone" (2 * dirty)
+        (delta "fs.patch.rows");
+      Alcotest.(check int) "FS rows reused" (total - dirty)
+        (delta "fs.resolve.reused");
+      Alcotest.(check int) "no whole-program Sema check" 0
+        (delta "engine.sema.full");
+      check_both_match_scratch "leaf edit = from-scratch" e
+
+(* A literal argument edit reaches callees, and through pass-through
+   formals their callees: the FI rows it re-boxes stay within the cone. *)
+let test_literal_arg_edit_within_cone () =
+  let prog =
+    Scale.generate
+      { Scale.sp_family = Scale.Mixed; sp_procs = 2000; sp_seed = 1 }
+  in
+  let e = Engine.create ~jobs:1 prog in
+  let pcg = (Engine.context e).Context.pcg in
+  let has_literal_arg (p : Ast.proc) =
+    List.exists
+      (fun (_, args, _) ->
+        List.exists (function Ast.Const _ -> true | _ -> false) args)
+      (Ast.call_sites p)
+  in
+  let caller =
+    List.find
+      (fun (p : Ast.proc) ->
+        Callgraph.is_reachable pcg p.Ast.pname && has_literal_arg p)
+      (List.rev prog.Ast.procs)
+  in
+  match edit_counters e (bump_literals caller) with
+  | Engine.Rebuilt why, _ -> Alcotest.failf "unexpected rebuild: %s" why
+  | Engine.Incremental { dirty; total }, delta ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cone (%d) is a small part of %d" dirty total)
+        true
+        (4 * dirty < total);
+      Alcotest.(check bool)
+        (Printf.sprintf "FI rows re-boxed (%d) <= 2 x cone (%d)"
+           (delta "fi.patch.reboxed") dirty)
+        true
+        (delta "fi.patch.reboxed" <= 2 * dirty);
+      Alcotest.(check int) "FS rows written = 2 x cone" (2 * dirty)
+        (delta "fs.patch.rows");
+      Alcotest.(check int) "no whole-program Sema check" 0
+        (delta "engine.sema.full");
+      check_both_match_scratch "literal argument edit = from-scratch" e
+
+(* A literal edit in [main] changes [f]'s formal, which [f] passes through
+   to [g]: the patch must re-box [f]'s entry, [f]'s call records (the
+   pass-through argument) and [g]'s entry, not just [main]'s row. *)
+let test_pass_through_rows_reboxed () =
+  let src k =
+    Printf.sprintf
+      {|
+proc main() { call f(%d); }
+proc f(n) { call g(n); }
+proc g(m) { print m; }
+|}
+      k
+  in
+  let e = Engine.create ~jobs:1 (parse (src 3)) in
+  match edit_counters e (proc_of "proc main() { call f(4); }") with
+  | Engine.Rebuilt why, _ -> Alcotest.failf "unexpected rebuild: %s" why
+  | Engine.Incremental _, delta ->
+      (* main's row; f's entry and row; g's entry *)
+      Alcotest.(check int) "FI rows re-boxed" 4 (delta "fi.patch.reboxed");
+      check_both_match_scratch "pass-through edit = from-scratch" e;
+      Alcotest.(check bool)
+        "g's formal follows the edit" true
+        (Fsicp_scc.Lattice.equal
+           (Solution.formal_value (Engine.fi_solution e) "g" 0)
+           (Fsicp_scc.Lattice.Const (Value.Int 4)))
+
+(* -- well-formedness checks on edits -------------------------------------- *)
+
+(* Same name and formals: only the edited procedure is checked, with the
+   errors a whole-program check of the edited program reports, and the
+   engine is untouched.  New formals fall back to the whole program. *)
+let test_edit_checks_only_the_procedure () =
+  let prog = parse base_src in
+  let e = Engine.create ~jobs:1 prog in
+  let before = Solution.digest (Engine.solution e) in
+  let bad =
+    proc_of "proc f(n) { x = n + 2; g = g + x; call h(x, 1); call k(); }"
+  in
+  let full = Trace.counter_total "engine.sema.full" in
+  let expected =
+    match
+      Sema.check
+        {
+          prog with
+          Ast.procs =
+            List.map
+              (fun (q : Ast.proc) ->
+                if String.equal q.Ast.pname "f" then bad else q)
+              prog.Ast.procs;
+        }
+    with
+    | Ok () -> Alcotest.fail "edited program should be ill-formed"
+    | Error es -> Sema.errors_to_string es
+  in
+  (match Engine.edit_proc ~jobs:1 e bad with
+  | _ -> Alcotest.fail "ill-formed edit accepted"
+  | exception Sema.Illformed es ->
+      Alcotest.(check string)
+        "same errors as a whole-program check" expected
+        (Sema.errors_to_string es));
+  Alcotest.(check int)
+    "no whole-program check" full
+    (Trace.counter_total "engine.sema.full");
+  Alcotest.(check string)
+    "engine untouched" before
+    (Solution.digest (Engine.solution e));
+  (match Engine.edit_proc ~jobs:1 e (proc_of "proc h(y, z) { g = y; }") with
+  | _ -> Alcotest.fail "arity-changing edit accepted"
+  | exception Sema.Illformed _ -> ());
+  Alcotest.(check int)
+    "new formals: whole-program check" (full + 1)
+    (Trace.counter_total "engine.sema.full")
+
+(* -- digest ---------------------------------------------------------------- *)
+
+(* The digest lists globals by name, whatever order the process interned
+   them in: here the later name is interned first. *)
+let test_digest_globals_in_name_order () =
+  let b = Prog.Var.intern "zz_digest_order_b" in
+  let a = Prog.Var.intern "zz_digest_order_a" in
+  Alcotest.(check bool) "b interned before a" true (Prog.Var.compare b a < 0);
+  let prog =
+    parse
+      {|
+global zz_digest_order_a, zz_digest_order_b;
+blockdata { zz_digest_order_a = 1; zz_digest_order_b = 2; }
+proc main() { call f(); }
+proc f() { print zz_digest_order_a + zz_digest_order_b; }
+|}
+  in
+  let ctx = Context.create ~jobs:1 prog in
+  let d = Solution.digest (Fs_icp.solve ~jobs:1 ctx) in
+  let line =
+    List.find
+      (fun l -> String.starts_with ~prefix:"entry f:" l)
+      (String.split_on_char '\n' d)
+  in
+  Alcotest.(check string)
+    "globals in name order" "entry f: zz_digest_order_a=1 zz_digest_order_b=2"
+    line
 
 (* -- SCC memo behaviour across edit→re-solve cycles ----------------------- *)
 
@@ -189,4 +428,14 @@ let suite =
       test_reset_scc_memos;
     Alcotest.test_case "edit-sequence oracle: 200 seeds, jobs {1,4}" `Slow
       test_edit_sequence_smoke;
+    Alcotest.test_case "leaf edit on 2000 procs is O(cone)" `Quick
+      test_leaf_edit_is_o_cone;
+    Alcotest.test_case "literal argument edit stays within its cone" `Quick
+      test_literal_arg_edit_within_cone;
+    Alcotest.test_case "pass-through rows are re-boxed" `Quick
+      test_pass_through_rows_reboxed;
+    Alcotest.test_case "edit checks only the edited procedure" `Quick
+      test_edit_checks_only_the_procedure;
+    Alcotest.test_case "digest lists globals in name order" `Quick
+      test_digest_globals_in_name_order;
   ]

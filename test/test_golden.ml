@@ -36,7 +36,7 @@ let corpus = [ "aliasing"; "bank"; "modes"; "newton"; "recursive" ]
 (* Method keys match the fixture file names written by tools/golden_gen. *)
 let methods : (string * (Context.t -> Solution.t)) list =
   [
-    ("fi", Fi_icp.solve);
+    ("fi", fun ctx -> Fi_icp.solve ctx);
     ("fs", fun ctx -> Fs_icp.solve ctx);
     ("ref", Reference.solve);
     ("cc", fun ctx -> Cc_icp.solve ctx);

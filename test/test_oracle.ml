@@ -16,10 +16,7 @@ let parse = Test_util.parse
 
 (* Rebuild a solution with every entry rewritten by [f]. *)
 let map_entries f (sol : Solution.t) =
-  Solution.make ~method_name:sol.Solution.method_name ~db:sol.Solution.db
-    ~entries:(Prog.Proc.Tbl.map f sol.Solution.entries)
-    ~call_records:sol.Solution.call_records ~scc_runs:sol.Solution.scc_runs
-    ~scc_results:sol.Solution.scc_results
+  { sol with Solution.entries = Prog.Proc.Tbl.map f sol.Solution.entries }
 
 (* ------------------------------------------------------------------ *)
 (* solution_le must see globals                                        *)

@@ -196,8 +196,8 @@ let solutions_identical (a : Solution.t) (b : Solution.t) =
          | Some eb -> entry_equal ea eb
          | None -> false)
        a.Solution.entries true
-  && List.equal (record_equal a b) a.Solution.call_records
-       b.Solution.call_records
+  && List.equal (record_equal a b) (Solution.call_records a)
+       (Solution.call_records b)
   (* and the dense call-site index resolves every record of [a] in [b]:
      the [(caller, cs_index)] coordinates must agree across job counts *)
   && List.for_all
@@ -214,7 +214,7 @@ let solutions_identical (a : Solution.t) (b : Solution.t) =
              with
              | Some cr' -> record_equal a b cr cr'
              | None -> false))
-       a.Solution.call_records
+       (Solution.call_records a)
 
 let solve_jobs prog jobs =
   let ctx = Context.create ~jobs prog in

@@ -189,11 +189,7 @@ let test_return_constants_found () =
       Alcotest.check lat "p returns 42" (L.Const (Value.Int 42))
         s.Return_consts.rs_formals.(0);
       Alcotest.check lat "g returns 7" (L.Const (Value.Int 7))
-        (Option.value
-           (List.assoc_opt
-              (Fsicp_prog.Prog.Var.intern "g")
-              s.Return_consts.rs_globals)
-           ~default:L.Top)
+        (Return_consts.exit_global s (Fsicp_prog.Prog.Var.intern "g"))
   | None -> Alcotest.fail "no summary for init"
 
 let test_return_constants_improve_caller () =

@@ -34,7 +34,7 @@ let read_program path =
 
 let methods : (string * (Context.t -> Solution.t)) list =
   [
-    ("fi", Fi_icp.solve);
+    ("fi", fun ctx -> Fi_icp.solve ctx);
     ("fs", fun ctx -> Fs_icp.solve ctx);
     ("ref", Reference.solve);
     ("cc", fun ctx -> Cc_icp.solve ctx);
