@@ -38,8 +38,8 @@ type bechamel_row = {
 
 let bechamel_rows : (string * bechamel_row) list ref = ref []
 
-(* The largest suite program by procedure count — the program where the
-   wavefront has the most parallelism to exploit. *)
+(* The largest suite program by procedure count — the most work for the
+   FS traversal and the most procedures for parallel lowering and SSA. *)
 let largest_bench () =
   List.fold_left
     (fun acc (b : Spec.benchmark) ->

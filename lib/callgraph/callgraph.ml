@@ -208,7 +208,7 @@ let n_call_sites t (p : Prog.Proc.id) = Array.length t.out_adj.((p :> int))
 let edge_at t ~caller ~cs_index = (out_edges t caller).(cs_index)
 let has_cycles t = Prog.Bits.count t.back_bits > 0
 
-(** Downstream wavefront cone: the forward-edge closure of [seeds] —
+(** Downstream cone: the forward-edge closure of [seeds] —
     every procedure whose flow-sensitive entry environment can be reached
     by a chain of {e forward} call edges from a seed, seeds included.
     Back edges are excluded: their contribution to an entry meet comes
@@ -219,7 +219,7 @@ let has_cycles t = Prog.Bits.count t.back_bits > 0
 
     Runs on the dense out-adjacency with a flat mark array; the result is
     in ascending id order, which is the reverse-postorder forward
-    traversal order — exactly the sub-wavefront the incremental re-solve
+    traversal order — exactly the sub-traversal the incremental re-solve
     drives. *)
 let cone t ~(seeds : Prog.Proc.id list) : Prog.Proc.id array =
   let n = n_procs t in

@@ -82,7 +82,7 @@ val edge_at : t -> caller:Prog.Proc.id -> cs_index:int -> edge
 
 val has_cycles : t -> bool
 
-(** Downstream wavefront cone: forward-edge closure of [seeds] (seeds
+(** Downstream cone: forward-edge closure of [seeds] (seeds
     included), ascending id — i.e. forward-traversal — order.  Back edges
     do not extend the cone: their entry-meet contribution comes from the
     flow-insensitive solution, which the incremental re-solve diffs

@@ -41,15 +41,14 @@ let c_ssa_hits = Trace.counter "ssa.cache_hits"
     several domains race-free. *)
 type alias_kills = { ak_keys : int array; ak_lists : Ir.var list array }
 
-(** Streaming-mode state: a mutex-protected ring of recently retired
-    procedure ids.  {!retire} pushes; once the ring holds [window] ids the
-    oldest one's lowered IR, alias-kill table and SSA are dropped, so the
-    resident derived artifacts are bounded by [window] plus the procedures
-    currently in flight — they scale with the wavefront frontier, not the
-    program. *)
+(** Streaming-mode state: a ring of recently retired procedure ids.
+    {!retire} pushes; once the ring holds [window] ids the oldest one's
+    lowered IR, alias-kill table and SSA are dropped, so the resident
+    derived artifacts are bounded by [window] plus the procedure in flight
+    — not by the program.  Only the sequential FS traversal retires, so
+    the ring needs no lock. *)
 type stream = {
   window : int;
-  smutex : Mutex.t;
   ring : int array;  (** retired pids awaiting eviction, capacity [window] *)
   mutable rhead : int;
   mutable rlen : int;
@@ -179,7 +178,7 @@ let create ?(floats = true) ?jobs (prog : Ast.program) : t =
     per-procedure artifacts materialise on demand ({!lowered_at} /
     {!ssa_at}) and are released again by {!retire} once the procedure has
     been fully consumed, keeping at most [window] retired procedures plus
-    the in-flight ones resident.  Strictly a solve-time mode: artifacts of
+    the one in flight resident.  Strictly a solve-time mode: artifacts of
     a retired procedure are rebuilt (identically) if re-requested, and
     consumers that walk SSA after the solve — transformation, metrics, the
     returns extension — should use {!create} instead. *)
@@ -198,7 +197,6 @@ let create_streaming ?(floats = true) ?(window = 64) (prog : Ast.program) : t =
       Some
         {
           window;
-          smutex = Mutex.create ();
           ring = Array.make window 0;
           rhead = 0;
           rlen = 0;
@@ -235,7 +233,6 @@ let retire t (pid : Prog.Proc.id) : unit =
   match t.stream with
   | None -> ()
   | Some s ->
-      Mutex.lock s.smutex;
       if s.rlen = s.window then begin
         let old = s.ring.(s.rhead) in
         s.rhead <- (s.rhead + 1) mod s.window;
@@ -246,8 +243,7 @@ let retire t (pid : Prog.Proc.id) : unit =
         Prog.Proc.Tbl.set t.ssa_cache opid None
       end;
       s.ring.((s.rhead + s.rlen) mod s.window) <- (pid :> int);
-      s.rlen <- s.rlen + 1;
-      Mutex.unlock s.smutex
+      s.rlen <- s.rlen + 1
 
 let lowered_proc t name : Ir.proc =
   match Callgraph.proc_id t.pcg name with

@@ -64,8 +64,8 @@ val create : ?floats:bool -> ?jobs:int -> Ast.program -> t
     whole-program analyses run up front (they are compact), but lowering,
     alias-kill tables and SSA materialise per procedure on first demand and
     are released again by {!retire}, keeping at most [window] (default 64)
-    retired procedures plus the in-flight ones resident — peak heap scales
-    with the wavefront frontier, not the program.  Solve-time mode only:
+    retired procedures plus the one in flight resident — peak heap follows
+    the window, not the program.  Solve-time mode only:
     the solutions are identical to the eager path's, but consumers that
     re-walk SSA after the solve (transformation, metrics, the returns
     extension) should use {!create}. *)

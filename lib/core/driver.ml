@@ -15,12 +15,11 @@
     flow-insensitive method" — compare [fi_seconds] against
     [fs_seconds].
 
-    Independent phases run concurrently when [jobs > 1]: steps 1 and 2
-    need only the program, so the IPA collection and the PCG construction
-    overlap; lowering fans out per procedure; and the flow-sensitive ICP
-    runs its PCG wavefront on the same domain budget.  Each phase is still
-    timed individually (inside its own task), so the Figure-2 trace keeps
-    one entry per phase regardless of [jobs]. *)
+    The phases run one after the other on the calling domain; [jobs] only
+    fans out the per-procedure work inside a phase (lowering, and the SSA
+    pre-build of the flow-sensitive ICP).  Every phase's timing and
+    allocation is therefore read on the domain that ran it, and the
+    Figure-2 trace keeps one entry per phase regardless of [jobs]. *)
 
 open Fsicp_lang
 open Fsicp_ipa
@@ -31,7 +30,7 @@ module Trace = Fsicp_trace.Trace
 type timing = {
   t_phase : string;
   t_seconds : float;
-  t_minor_words : float;  (** words allocated on the executing domain *)
+  t_minor_words : float;  (** words allocated on the calling domain *)
   t_major_words : float;
 }
 
@@ -45,18 +44,19 @@ type t = {
   timings : timing list;
 }
 
-(* Wall-clock plus the executing domain's allocation counters: in OCaml 5
-   [Gc.quick_stat] words are per-domain, so a phase running inside a
-   [Par.both] task reports the allocation of that task's domain. *)
+(* Wall-clock plus the calling domain's allocation counters.  [Gc.counters]
+   is exact at any point, where [Gc.quick_stat]'s minor words advance only
+   at each minor collection (a short phase would read 0).  The words are
+   per-domain: a phase's own allocation is all counted, since every phase
+   runs here, but words allocated by pool workers inside a phase (parallel
+   lowering or SSA at jobs > 1) are not. *)
 let time_it f =
-  let s0 = Gc.quick_stat () in
+  let minor0, _, major0 = Gc.counters () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  let s1 = Gc.quick_stat () in
-  ( r,
-    (dt, s1.Gc.minor_words -. s0.Gc.minor_words,
-     s1.Gc.major_words -. s0.Gc.major_words) )
+  let minor1, _, major1 = Gc.counters () in
+  (r, (dt, minor1 -. minor0, major1 -. major0))
 
 (** Run the complete pipeline on [jobs] domains (default
     {!Fsicp_par.Par.default_jobs}).  The program must be
@@ -67,28 +67,24 @@ let run ?(floats = true) ?jobs ?(extended = false) (prog : Ast.program) : t =
   (* One Figure-2 span per phase, named exactly like the timing rows.  The
      epoch advances only here on the orchestrating domain, between phases —
      a sequential point even when the phase bodies themselves fan out. *)
-  let phase name f () =
-    time_it (fun () -> Trace.span name f)
-  in
+  let phase name f = time_it (fun () -> Trace.span name f) in
   Trace.next_epoch ();
-  (* Steps 1–2 are independent given the program: collect the IPA inputs
-     while the PCG is being built. *)
-  let (pcg, t_pcg), (summaries, t_sum) =
-    Par.both ~jobs
-      (phase "2:call-graph" (fun () -> Callgraph.build prog))
-      (phase "1:ipa-collect" (fun () -> Summary.collect prog))
+  (* Steps 1–2 need only the program; they share an epoch. *)
+  let summaries, t_sum =
+    phase "1:ipa-collect" (fun () -> Summary.collect prog)
   in
+  let pcg, t_pcg = phase "2:call-graph" (fun () -> Callgraph.build prog) in
   Trace.next_epoch ();
   let aliases, t_alias =
-    phase "3:aliasing" (fun () -> Alias.compute summaries pcg) ()
+    phase "3:aliasing" (fun () -> Alias.compute summaries pcg)
   in
   Trace.next_epoch ();
   let modref, t_modref =
-    phase "4:mod-ref" (fun () -> Modref.compute summaries aliases pcg) ()
+    phase "4:mod-ref" (fun () -> Modref.compute summaries aliases pcg)
   in
   Trace.next_epoch ();
   let lowered, t_lower =
-    phase "lowering" (fun () -> Context.lower_all ~jobs prog pcg) ()
+    phase "lowering" (fun () -> Context.lower_all ~jobs prog pcg)
   in
   let ctx =
     {
@@ -113,32 +109,32 @@ let run ?(floats = true) ?jobs ?(extended = false) (prog : Ast.program) : t =
      SSA construction and the one-per-procedure SCC runs, mirroring the
      paper's "analysis phase" accounting; the FI method needs neither. *)
   Trace.next_epoch ();
-  let fi, t_fi = phase "5a:fi-icp" (fun () -> Fi_icp.solve ctx) () in
+  let fi, t_fi = phase "5a:fi-icp" (fun () -> Fi_icp.solve ctx) in
   Trace.next_epoch ();
-  let fs, t_fs = phase "5b:fs-icp" (fun () -> Fs_icp.solve ~jobs ~fi ctx) () in
+  let fs, t_fs = phase "5b:fs-icp" (fun () -> Fs_icp.solve ~jobs ~fi ctx) in
   (* Beyond-the-paper methods, opt-in so the default run keeps the paper's
      exact Figure-2 phase trace. *)
   let cc, vc, t_ext =
     if not extended then (None, None, [])
     else begin
       Trace.next_epoch ();
-      let cc, t_cc = phase "5c:cc-icp" (fun () -> Cc_icp.solve ctx) () in
+      let cc, t_cc = phase "5c:cc-icp" (fun () -> Cc_icp.solve ctx) in
       Trace.next_epoch ();
-      let vc, t_vc = phase "5d:vc-icp" (fun () -> Vc_icp.solve ctx) () in
+      let vc, t_vc = phase "5d:vc-icp" (fun () -> Vc_icp.solve ctx) in
       (Some cc, Some vc, [ ("5c:cc-icp", t_cc); ("5d:vc-icp", t_vc) ])
     end
   in
   (* Step 6: reverse topological traversal — USE computation here; the
      transformation itself is on demand ({!Transform}, {!Fold}). *)
   Trace.next_epoch ();
-  let use, t_use = phase "6:use" (fun () -> Use.compute lowered modref pcg) () in
+  let use, t_use = phase "6:use" (fun () -> Use.compute lowered modref pcg) in
   let timings =
     List.map
       (fun (t_phase, (t_seconds, t_minor_words, t_major_words)) ->
         { t_phase; t_seconds; t_minor_words; t_major_words })
       ([
-         ("2:call-graph", t_pcg);
          ("1:ipa-collect", t_sum);
+         ("2:call-graph", t_pcg);
          ("3:aliasing", t_alias);
          ("4:mod-ref", t_modref);
          ("lowering", t_lower);

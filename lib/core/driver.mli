@@ -7,7 +7,7 @@ open Fsicp_ipa
 type timing = {
   t_phase : string;
   t_seconds : float;
-  t_minor_words : float;  (** words allocated on the executing domain *)
+  t_minor_words : float;  (** words allocated on the calling domain *)
   t_major_words : float;
 }
 
@@ -21,9 +21,9 @@ type t = {
   timings : timing list;
 }
 
-(** Run steps 1–6 on a {!Sema.check}-clean program.  Independent phases
-    (IPA collection ∥ PCG construction, per-procedure lowering, the FS
-    wavefront) run on [jobs] domains (default
+(** Run steps 1–6 on a {!Sema.check}-clean program, one phase after the
+    other on the calling domain.  The per-procedure work inside a phase
+    (lowering, the FS ICP's SSA pre-build) runs on [jobs] domains (default
     {!Fsicp_par.Par.default_jobs}); results are identical for every
     [jobs].  [extended] (default [false]) additionally runs the
     beyond-the-paper methods — copy-constant ({!Cc_icp}, phase

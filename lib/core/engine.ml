@@ -12,7 +12,7 @@
       ({!Context.replace_proc}), only its artifacts are invalidated
       ({!Context.invalidate_proc}), the flow-insensitive solution is
       patched (one packed propagation pass, then only the rows that
-      changed are rebuilt), and the flow-sensitive wavefront is re-driven
+      changed are rebuilt), and the flow-sensitive traversal is re-driven
       over the downstream cone of the edit plus every callee of a back
       edge whose flow-insensitive record changed ({!Fs_icp.resolve}),
       patching the previous solution's rows.  Everything outside the cone
@@ -225,7 +225,7 @@ let edit_proc ?jobs t (p : Ast.proc) : outcome =
                   (Callgraph.out_edges pcg caller))
             fi'.Solution.call_index;
           let dirty = Callgraph.cone pcg ~seeds:!seeds in
-          let fs' = Fs_icp.resolve ?jobs ~fi:fi' ~prev:t.fs ~dirty ctx in
+          let fs' = Fs_icp.resolve ~fi:fi' ~prev:t.fs ~dirty ctx in
           t.fi <- fi';
           t.fs <- fs';
           t.incremental_edits <- t.incremental_edits + 1;

@@ -6,7 +6,7 @@
     shape-preserving edit (same procedures, same callee sequences, same
     IPA summary shape) checks and invalidates only the edited procedure,
     patches the flow-insensitive solution's changed rows, and re-drives
-    the flow-sensitive wavefront over the downstream cone of the edit
+    the flow-sensitive traversal over the downstream cone of the edit
     (plus back-edge-reached procedures whose flow-insensitive records
     changed), sharing every other row with the previous solutions: O(cone)
     plus one packed O(n) flow-insensitive pass.  A shape-changing edit

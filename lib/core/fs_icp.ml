@@ -23,22 +23,17 @@
     and as the back-edge ratio grows the solution degrades gracefully
     toward the flow-insensitive one (the BACKEDGE experiment).
 
-    {2 Parallel execution}
+    {2 Order}
 
-    The traversal is a dependency {e wavefront}: a procedure is ready as
-    soon as all of its forward-edge callers have been analysed,
-    independently of its siblings, so ready procedures run concurrently on
-    [jobs] domains ({!Fsicp_par.Par.wavefront}).  Procedure [p]'s entry
-    meet is {e pulled} at dispatch time from the call records its forward
-    callers already produced — in canonical in-edge order, so the result is
-    independent of completion order — rather than pushed by the callers,
-    which keeps the per-call-site hot path free of locks: the scheduler's
-    ready-count bookkeeping is the only synchronisation point.  Back-edge
-    contributions come from the flow-insensitive seed, which is complete
-    before the wavefront starts, so no cross-domain race exists.
-    [jobs = 1] processes the nodes sequentially in exactly the forward
-    order the original implementation used; any [jobs] yields a
-    bit-identical {!Solution.t} (verified by the test suite). *)
+    The traversal is a plain loop over procedure ids in ascending order:
+    ids are reverse-postorder positions ({!Fsicp_prog.Prog.Proc.id}), so
+    every forward caller of [p] has been analysed when [p]'s turn comes,
+    and [p]'s entry meet pulls its forward callers' call records in
+    canonical in-edge order.  The SSA forms are pre-built on [jobs] domains
+    before the loop starts; the loop itself is sequential, because the
+    traversal is a small share of end-to-end time and a parallel one saved
+    too little to pay for a second execution path (DESIGN.md, "Parallel
+    execution model"). *)
 
 open Fsicp_lang
 open Fsicp_prog
@@ -54,7 +49,7 @@ let method_name = "flow-sensitive"
 module Trace = Fsicp_trace.Trace
 module P = Lattice.P
 
-(* Incremental re-solve volume: procedures re-driven through the wavefront
+(* Incremental re-solve volume: procedures re-driven through the traversal
    vs procedures whose previous outputs were reused verbatim.  Both are
    deterministic for a given edit sequence. *)
 let c_resolve_dirty = Trace.counter "fs.resolve.dirty"
@@ -64,70 +59,6 @@ let c_resolve_reused = Trace.counter "fs.resolve.reused"
    its patched solution: two per re-driven procedure, none per reused
    one. *)
 let c_patch_rows = Trace.counter "fs.patch.rows"
-
-(* -- Shard regions ------------------------------------------------------ *)
-
-(* A cut at position [i] splits the dense id range into [0, i) / [i, n).
-   In reverse postorder every non-back edge increases ids, so any path
-   from a higher id back to a lower one must traverse a back edge (c, k)
-   with [k <= c]; an SCC spanning the cut would need such a path crossing
-   it, i.e. a back edge with [k < i <= c].  Forbidding cuts inside every
-   back-edge interval [k+1, c] therefore keeps each SCC of the PCG
-   condensation whole within one region. *)
-let shard_regions (pcg : Callgraph.t) ~parts : int array =
-  let n = Callgraph.n_procs pcg in
-  let parts = max 1 (min parts (max 1 n)) in
-  if n = 0 then [| 0; 0 |]
-  else begin
-    (* Difference-array coverage of the forbidden intervals. *)
-    let diff = Array.make (n + 2) 0 in
-    List.iter
-      (fun (e : Callgraph.edge) ->
-        if e.Callgraph.back then begin
-          let k = (e.Callgraph.callee :> int)
-          and c = (e.Callgraph.caller :> int) in
-          (* Self-recursion (k = c) forbids nothing: the interval is empty. *)
-          if k < c then begin
-            diff.(k + 1) <- diff.(k + 1) + 1;
-            diff.(c + 1) <- diff.(c + 1) - 1
-          end
-        end)
-      pcg.Callgraph.edges;
-    let legal = ref [] and cov = ref 0 in
-    for i = 1 to n - 1 do
-      cov := !cov + diff.(i);
-      if !cov = 0 then legal := i :: !legal
-    done;
-    let legal = Array.of_list (List.rev !legal) in
-    (* For each ideal boundary, take the largest legal cut not past it;
-       strictly increasing cuts, so heavily cyclic graphs just yield fewer
-       (larger) regions. *)
-    let cuts = ref [] and last = ref 0 and li = ref 0 in
-    for p = 1 to parts - 1 do
-      let target = p * n / parts in
-      while !li < Array.length legal && legal.(!li) <= target do
-        incr li
-      done;
-      if !li > 0 && legal.(!li - 1) > !last then begin
-        cuts := legal.(!li - 1) :: !cuts;
-        last := legal.(!li - 1)
-      end
-    done;
-    Array.of_list ((0 :: List.rev (n :: !cuts)) |> List.sort_uniq compare)
-  end
-
-(* Region [r] (ids [bounds.(r), bounds.(r+1))) belongs to domain
-   [r mod jobs]: more regions than domains interleaves whole regions
-   round-robin, which balances corpora whose hard work clusters in one
-   id range without ever splitting a region. *)
-let owners_of_regions (bounds : int array) ~jobs ~n : int array =
-  let owners = Array.make n 0 in
-  for r = 0 to Array.length bounds - 2 do
-    for i = bounds.(r) to bounds.(r + 1) - 1 do
-      owners.(i) <- r mod jobs
-    done
-  done;
-  owners
 
 (** The SCC kernel keys call effects by callee name: answer a
     [(callee, v)] query by meeting the per-call oracle [f] over the calls
@@ -154,45 +85,30 @@ let call_def_by_callee (calls : (int * int * Ssa.call) list)
     in
     if r = P.top then P.bot else r
 
-(** [solve ?jobs ?fi ?call_def_value ctx] computes the flow-sensitive
-    solution.
+(** The traversal shared by {!solve} and {!resolve}.
 
-    [jobs] is the number of worker domains for the wavefront traversal and
-    the SSA pre-build (default {!Fsicp_par.Par.default_jobs}); the solution
-    is identical for every value.
-
-    [fi] overrides the flow-insensitive solution used for back edges
-    (computed on demand when the PCG has cycles, matching the paper:
-    "performing a flow-insensitive analysis prior to the flow-sensitive
-    analysis, only if there are cycles in the PCG").
-
-    [call_def_value] refines the post-call value of call-defined variables;
-    the return-constants extension ({!Return_consts}) passes the summaries
-    of its reverse traversal here.
+    [fi] is the flow-insensitive solution back edges take their
+    contributions from ([None] only for an acyclic PCG).  [call_def_value]
+    refines the post-call value of call-defined variables; the
+    return-constants extension ({!Return_consts}) passes the summaries of
+    its reverse traversal here.
 
     [prev]/[dirty] select the incremental path (see {!resolve}): the
     solution is a patch of [prev].  Only the procedures in [dirty] — a
-    forward-edge-closed cone in ascending id order — are re-driven through
-    the wavefront, and only their rows are written, into copies of
-    [prev]'s dense tables; every other procedure's entry, call-record row
-    and SCC result is [prev]'s, shared.  A from-scratch solve is the same
-    code patching empty tables with every procedure dirty.  Nothing here
-    costs O(program) beyond those table copies. *)
-let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
+    forward-edge-closed cone in ascending id order — are re-driven, and
+    only their rows are written, into copies of [prev]'s dense tables;
+    every other procedure's entry, call-record row and SCC result is
+    [prev]'s, shared.  A from-scratch solve is the same code patching empty
+    tables with every procedure dirty.  Nothing here costs O(program)
+    beyond those table copies. *)
+let solve_body ~(fi : Solution.t option) ?prev
+    ?(dirty : Prog.Proc.id array option)
     ?(call_def_value :
        (caller:string -> Ssa.call -> Ir.var -> int) option)
     (ctx : Context.t) : Solution.t =
   let pcg = ctx.Context.pcg in
   let nodes = pcg.Callgraph.nodes in
   let n = Array.length nodes in
-  let jobs =
-    max 1 (min (match jobs with Some j -> j | None -> Par.default_jobs ()) n)
-  in
-  let fi =
-    match fi with
-    | Some s -> Some s
-    | None -> if Callgraph.has_cycles pcg then Some (Fi_icp.solve ctx) else None
-  in
 
   (* The globals of [proc]'s REF closure, as interned ids.  GREF of a
      procedure is exactly what [call_global_refs] reports for a call to it,
@@ -201,23 +117,8 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     Modref.call_global_refs ctx.Context.modref ~callee:proc
   in
 
-  (* The procedures to drive: every one from scratch, else the dirty
-     cone — forward-edge closed, in ascending id (= forward topological)
-     order. *)
-  let order =
-    match dirty with
-    | None -> Array.init n Fun.id
-    | Some d -> Array.map (fun (p : Prog.Proc.id) -> (p :> int)) d
-  in
   let patching = Option.is_some prev in
-  (* Pre-build SSA for every procedure (embarrassingly parallel, and the
-     bulk of the flow-sensitive setup time); afterwards [Context.ssa] is a
-     read-only cache hit from any domain.  Streaming contexts skip this on
-     purpose: each procedure's SSA is built inside [process] when its
-     wavefront turn comes and released right after, so the peak resident
-     set follows the frontier instead of the program. *)
   let streaming = Context.is_streaming ctx in
-  if jobs > 1 && not streaming then Context.build_ssa ~jobs ctx;
 
   (* Block-data seeds, pre-encoded to packed words and keyed by raw int id:
      the entry-environment lookups below never box. *)
@@ -238,9 +139,7 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
      and its back-edge contributions are unchanged (procedures downstream
      of a changed flow-insensitive record are seeded into the cone), so its
      previous rows are exactly what a from-scratch solve would recompute.
-     [process] replaces the rows of the procedures it drives; each slot is
-     written only by the domain that processes its procedure and read by
-     its dependents after the scheduler's happens-before edge. *)
+     [process] replaces the rows of the procedures it drives. *)
   let db = pcg.Callgraph.db in
   let entries, rows, results =
     match prev with
@@ -257,9 +156,11 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
   let process i =
     let pid = nodes.(i) in
     let proc = Callgraph.proc_name pcg pid in
-    (* Detached: the wavefront assigns the procedure to whichever domain is
-       free, so the span must not inherit that domain's stack in the
-       canonical trace.  The procedure name keys the canonical order. *)
+    (* Detached: each procedure's span sits at the trace root, not under
+       [fs:solve] or [fs:resolve].  That is the canonical trace shape the
+       golden trace fixtures pin, and it puts a procedure's span in the
+       same place whichever entry point drove it.  The procedure name keys
+       the canonical order. *)
     Trace.span ~detach:true
       ~args:(fun () -> [ ("proc", proc) ])
       "fs:proc"
@@ -330,9 +231,10 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
           | Some w -> w
           | None -> P.bot)
       done;
-    (* Forward edges: every forward caller has been processed (the
-       scheduler guarantees it), so pull its recorded executable call-site
-       values, in canonical in-edge order. *)
+    (* Forward edges: every forward caller has a smaller id, so it has been
+       processed already (or is outside the cone and keeps [prev]'s row);
+       pull its recorded executable call-site values, in canonical in-edge
+       order. *)
     Array.iter
       (fun (e : Callgraph.edge) ->
         if not e.Callgraph.back then
@@ -441,54 +343,14 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     end
   in
 
-  (* Wavefront shape, needed only to run in parallel (sequentially the
-     cone is swept in order): procedure [i] depends on the distinct cone
-     members that call it over forward (non-back) edges — a clean caller's
-     records are already in [rows], and completion must never enqueue a
-     clean node.  Back edges contribute the FI seed instead and impose no
-     ordering.  The forward-edge graph is acyclic and consistent with
-     reverse postorder by construction, so ids double as wavefront slots. *)
-  let shape () =
-    let in_cone =
-      match dirty with
-      | None -> fun _ -> true
-      | Some _ ->
-          let m = Array.make n false in
-          Array.iter (fun i -> m.(i) <- true) order;
-          fun i -> m.(i)
-    in
-    let deps = Array.make n [] and dependents = Array.make n [] in
-    Array.iter
-      (fun i ->
-        let callers =
-          Array.fold_left
-            (fun acc (e : Callgraph.edge) ->
-              let c = (e.Callgraph.caller :> int) in
-              if e.Callgraph.back || not (in_cone c) then acc else c :: acc)
-            [] (Callgraph.in_edges pcg nodes.(i))
-          |> List.sort_uniq compare
-        in
-        deps.(i) <- callers;
-        List.iter (fun c -> dependents.(c) <- i :: dependents.(c)) callers)
-      order;
-    Array.iter (fun i -> dependents.(i) <- List.rev dependents.(i)) order;
-    (deps, dependents)
-  in
-  let deps, dependents = if jobs <= 1 then ([||], [||]) else shape () in
+  (* The procedures to drive, in ascending id (= forward topological)
+     order: every one from scratch, else the dirty cone. *)
   (match dirty with
   | None ->
-      (* From-scratch solves shard the frontier: contiguous SCC-whole id
-         regions, ~4 per domain, each domain owning its regions' nodes on
-         a private stack.  Every output lands in its procedure's own table
-         slot, so the solution is independent of the sharding: this is
-         purely a scheduling change (verified by the digest-equality
-         tests). *)
-      let owners =
-        if jobs <= 1 then [||]
-        else owners_of_regions (shard_regions pcg ~parts:(4 * jobs)) ~jobs ~n
-      in
-      Par.wavefront_sharded ~jobs ~owners ~order ~deps ~dependents process
-  | Some _ -> Par.wavefront ~jobs ~order ~deps ~dependents process);
+      for i = 0 to n - 1 do
+        process i
+      done
+  | Some d -> Array.iter (fun (p : Prog.Proc.id) -> process (p :> int)) d);
   {
     Solution.method_name;
     db;
@@ -498,36 +360,62 @@ let solve_body ?jobs ?fi ?prev ?(dirty : Prog.Proc.id array option)
     scc_results = results;
   }
 
+(** [solve ?jobs ?fi ?call_def_value ctx] computes the flow-sensitive
+    solution.
+
+    [jobs] is the number of domains the SSA pre-build runs on (default
+    {!Fsicp_par.Par.default_jobs}); the traversal itself is sequential, and
+    the solution is identical for every value.
+
+    [fi] overrides the flow-insensitive solution used for back edges
+    (computed on demand when the PCG has cycles, matching the paper:
+    "performing a flow-insensitive analysis prior to the flow-sensitive
+    analysis, only if there are cycles in the PCG"). *)
 let solve ?jobs ?fi
     ?(call_def_value :
        (caller:string -> Ssa.call -> Ir.var -> int) option)
     (ctx : Context.t) : Solution.t =
   Trace.next_epoch ();
-  Trace.span "fs:solve" (fun () -> solve_body ?jobs ?fi ?call_def_value ctx)
+  Trace.span "fs:solve" @@ fun () ->
+  let pcg = ctx.Context.pcg in
+  let fi =
+    match fi with
+    | Some s -> Some s
+    | None -> if Callgraph.has_cycles pcg then Some (Fi_icp.solve ctx) else None
+  in
+  (* Pre-build SSA for every procedure on [jobs] domains: construction is
+     independent per procedure and the bulk of the flow-sensitive setup
+     time.  At jobs=1 the traversal builds each procedure's SSA on its
+     turn instead.  Streaming contexts always do: each procedure's SSA is
+     built on its turn and released right after, so the peak resident set
+     follows the retirement window instead of the program.  Only [solve]
+     pre-builds — an incremental {!resolve} rebuilds just the edited
+     procedure's SSA and must not scan the whole program. *)
+  let jobs =
+    min (match jobs with Some j -> j | None -> Par.default_jobs ())
+      (Callgraph.n_procs pcg)
+  in
+  if jobs > 1 && not (Context.is_streaming ctx) then
+    Context.build_ssa ~jobs ctx;
+  solve_body ~fi ?call_def_value ctx
 
 (** Incremental re-solve after a shape-preserving procedure edit.
 
-    [dirty] is the downstream wavefront cone ({!Callgraph.cone}) of the
-    edited procedures plus every callee of a back edge whose
-    flow-insensitive record changed; [fi] is the {e fresh} flow-insensitive
-    solution of the edited program; [prev] is the previous flow-sensitive
-    solution.  Only the cone is re-driven through the wavefront; everything
-    outside it is copied from [prev].  The result is identical — including
-    [scc_runs], which counts one flow-sensitive analysis per procedure, the
-    solution-shape invariant — to a from-scratch {!solve} at any [jobs];
-    the actual kernel work shows up in the trace counters instead
-    (["fs.resolve.dirty"], ["fs.resolve.reused"], ["scc.memo_hits"]). *)
-let resolve ?jobs ~(fi : Solution.t) ~(prev : Solution.t)
+    [dirty] is the downstream cone ({!Callgraph.cone}) of the edited
+    procedures plus every callee of a back edge whose flow-insensitive
+    record changed; [fi] is the {e fresh} flow-insensitive solution of the
+    edited program; [prev] is the previous flow-sensitive solution.  Only
+    the cone is re-driven; everything outside it is copied from [prev].
+    The result is identical — including [scc_runs], which counts one
+    flow-sensitive analysis per procedure, the solution-shape invariant —
+    to a from-scratch {!solve}; the actual kernel work shows up in the
+    trace counters instead (["fs.resolve.dirty"], ["fs.resolve.reused"],
+    ["scc.memo_hits"]). *)
+let resolve ~(fi : Solution.t) ~(prev : Solution.t)
     ~(dirty : Prog.Proc.id array) (ctx : Context.t) : Solution.t =
   Trace.next_epoch ();
   Trace.span "fs:resolve" @@ fun () ->
   let n = Array.length ctx.Context.pcg.Callgraph.nodes in
   Trace.add c_resolve_dirty (Array.length dirty);
   Trace.add c_resolve_reused (n - Array.length dirty);
-  (* Small dirty regions run sequentially regardless of the requested
-     [jobs]: spawning a worker pool costs on the order of a millisecond,
-     more than re-solving a handful of procedures outright.  Results are
-     identical at every jobs count by construction, so the clamp is purely
-     a latency decision. *)
-  let jobs = if Array.length dirty < 24 then Some 1 else jobs in
-  solve_body ?jobs ~fi ~prev ~dirty ctx
+  solve_body ~fi:(Some fi) ~prev ~dirty ctx

@@ -6,24 +6,13 @@
     included.  On acyclic PCGs the result equals the iterative
     flow-sensitive fixpoint ({!Reference}).
 
-    The traversal is executed as a dependency wavefront over the PCG's
-    forward edges: procedures whose forward callers have all been analysed
-    run concurrently on [jobs] domains, with entry meets pulled in
-    canonical in-edge order at dispatch time, so the solution is identical
-    for every [jobs]. *)
+    The traversal is a sequential loop over procedure ids in ascending
+    (reverse-postorder) order, so every forward caller of a procedure is
+    analysed before it; entry meets pull the callers' call records in
+    canonical in-edge order.  Only the SSA pre-build of {!solve} runs on
+    several domains, and the solution is identical for every [jobs]. *)
 
 val method_name : string
-
-(** [shard_regions pcg ~parts] partitions the dense procedure-id range
-    [0, n) into at most [parts] contiguous regions, returned as an
-    ascending boundary array [[|0; c1; ...; n|]] (region [r] is
-    [[bounds.(r), bounds.(r+1))]).  No boundary ever falls strictly inside
-    a back-edge id interval, so every SCC of the PCG condensation lies
-    whole within one region; on heavily cyclic graphs fewer (larger)
-    regions come back.  The from-scratch wavefront assigns each region's
-    nodes to domain [r mod jobs] ({!Fsicp_par.Par.wavefront_sharded});
-    exposed for the region-invariant tests. *)
-val shard_regions : Fsicp_callgraph.Callgraph.t -> parts:int -> int array
 
 (** [call_def_by_callee calls f] — the SCC kernel's per-callee
     call-definition hook ([Scc.config.call_def_value]) built from a
@@ -39,9 +28,9 @@ val call_def_by_callee :
   int
 
 (** [solve ?jobs ?fi ?call_def_value ctx]:
-    [jobs] is the number of worker domains for the wavefront traversal
-    (default {!Fsicp_par.Par.default_jobs}; [1] is the sequential
-    reference path, and every value yields the same solution);
+    [jobs] is the number of domains the SSA pre-build runs on (default
+    {!Fsicp_par.Par.default_jobs}; at [1] each procedure's SSA is built on
+    its turn in the traversal, and every value yields the same solution);
     [fi] overrides the flow-insensitive solution used for back edges
     (computed on demand only when the PCG has cycles, as in the paper);
     [call_def_value] refines post-call values of call-defined variables —
@@ -55,21 +44,21 @@ val solve :
   Context.t ->
   Solution.t
 
-(** [resolve ?jobs ~fi ~prev ~dirty ctx] — incremental re-solve after a
+(** [resolve ~fi ~prev ~dirty ctx] — incremental re-solve after a
     shape-preserving procedure edit ({!Engine} is the intended caller).
 
     [dirty] is the forward-edge cone ({!Fsicp_callgraph.Callgraph.cone}) of
     the edited procedures plus every callee of a back edge whose
     flow-insensitive record changed; [fi] is the fresh flow-insensitive
     solution; [prev] the previous flow-sensitive one.  Only the cone is
-    re-driven through the wavefront (unchanged entry vectors inside it hit
-    the SCC memo); procedures outside it reuse their previous entry, call
-    records and SCC result verbatim.  The returned solution is identical to
-    a from-scratch {!solve} of the edited program, at any [jobs]; the saved
-    work is visible in the ["fs.resolve.dirty"] / ["fs.resolve.reused"] /
-    ["scc.memo_hits"] trace counters. *)
+    re-driven (unchanged entry vectors inside it hit the SCC memo);
+    procedures outside it reuse their previous entry, call records and SCC
+    result verbatim, and no per-procedure work touches them — not even an
+    SSA cache scan.  The returned solution is identical to a from-scratch
+    {!solve} of the edited program; the saved work is visible in the
+    ["fs.resolve.dirty"] / ["fs.resolve.reused"] / ["scc.memo_hits"] trace
+    counters. *)
 val resolve :
-  ?jobs:int ->
   fi:Solution.t ->
   prev:Solution.t ->
   dirty:Fsicp_prog.Prog.Proc.id array ->

@@ -1,6 +1,9 @@
-(** Domain-based parallel execution primitives: a work-stealing-free worker
-    pool over an atomic index, and a dependency-wavefront scheduler for
-    DAG-shaped work such as the PCG forward traversal.
+(** Domain-based parallel execution primitives: a worker pool over an
+    atomic index.  Two layers use it, both with large independent work
+    items: per-procedure lowering and SSA construction
+    ([Context.lower_all], [Context.build_ssa]), and the harness's
+    per-program fan-out.  The flow-sensitive PCG traversal itself is a
+    sequential loop ([Fs_icp.solve]).
 
     Every combinator takes an explicit [jobs] count.  [jobs <= 1] runs the
     work sequentially in the calling domain, in the canonical order — the
@@ -28,21 +31,15 @@ val default_jobs : unit -> int
     too. *)
 val parallel_init : ?label:string -> jobs:int -> int -> (int -> 'a) -> 'a array
 
-(** [parallel_iter ~jobs n f] is [for i = 0 to n-1 do f i done] with the
-    same contract as {!parallel_init}. *)
-val parallel_iter : jobs:int -> int -> (int -> unit) -> unit
-
 (** [map_list ~jobs f l] is [List.map f l]; list order is preserved. *)
 val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [both ~jobs f g] runs the two thunks, concurrently when [jobs > 1]. *)
-val both : jobs:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 
 (** Per-domain epoch-stamped scratch arena for flat analysis kernels.
 
     One arena lives in each domain's local storage ({!Domain.DLS}), so a
-    kernel running under {!wavefront} gets private scratch with no locking
-    and near-zero allocation once the arena has grown to the largest
+    kernel gets private scratch with no locking on whichever domain runs it
+    — the calling domain, or a pool worker when the harness fans programs
+    out — and near-zero allocation once the arena has grown to the largest
     procedure it has seen.  The arena hands out two kinds of scratch:
 
     - {b mark regions} — ranges of an int-stamp array used as bitsets.  A
@@ -85,67 +82,3 @@ module Arena : sig
   val pop : stack -> int
   (** Undefined on an empty stack; guard with {!is_empty}. *)
 end
-
-(** [wavefront ~jobs ~order ~deps ~dependents process] runs [process i]
-    once for every node [i] of a dependency DAG, dispatching a node as soon
-    as all of its [deps] have been processed.
-
-    - [order] lists all nodes in a topological order of [deps]; with
-      [jobs <= 1] the nodes are processed sequentially in exactly this
-      order, and [deps] and [dependents] are never read (callers may pass
-      empty arrays rather than build them).
-    - [deps.(i)] are the nodes that must complete before [i] starts;
-      [dependents.(i)] is the inverse relation.  Both must mention each
-      edge exactly once (no duplicates).
-    - Mutual exclusion: [process i] may freely read anything written by
-      [process d] for [d] a (transitive) dependency — the scheduler's
-      ready-count bookkeeping provides the happens-before edge — but nodes
-      with no dependency relation run concurrently.
-
-    The first exception raised by any [process i] aborts the wavefront and
-    is re-raised after all workers stop. *)
-val wavefront :
-  jobs:int ->
-  order:int array ->
-  deps:int list array ->
-  dependents:int list array ->
-  (int -> unit) ->
-  unit
-
-(** [wavefront_sharded ~jobs ~owners ~order ~deps ~dependents process] is
-    {!wavefront} with a partitioned frontier, built for 10⁴–10⁶-node DAGs
-    where a single shared ready queue serialises dispatch:
-
-    - [owners.(i)] assigns node [i] to one of [jobs] domains (values in
-      [0, jobs)).  Each domain keeps the nodes it owns on a private LIFO
-      stack — pushing and popping ready work takes no lock at all — so an
-      owner that is also a node's only dependent runs caller and callee
-      back-to-back with warm caches.  Callers pick owners from contiguous
-      dense-id regions (see [Fs_icp.shard_regions]) so a shard is a
-      structurally related slice of the graph, not a random sample.
-    - A node completed by domain [d] whose dependent belongs to domain
-      [o <> d] is handed off through [o]'s bounded inbox (a
-      mutex-protected ring).  When the inbox is full the pusher drains its
-      own inbox and retries, which makes cycles of mutually full inboxes
-      impossible to sustain; handoff traffic is counted by the
-      [par.shard.handoffs] trace counter.
-    - Progress is observable while the run is in flight: completions are
-      flushed in batches to [par.shard.solved], and the high-water mark of
-      the ready frontier is recorded in [par.shard.frontier_peak] (all
-      [~stable:false] — scheduling artefacts, excluded from the canonical
-      trace).
-
-    Determinism, ordering and error contracts are exactly those of
-    {!wavefront}: any [owners] assignment yields the same set of [process]
-    calls with the same happens-before edges, so a caller that assembles
-    results canonically (by node index) is bit-identical across [jobs] and
-    [owners].  [jobs <= 1] ignores [owners], [deps] and [dependents] and
-    runs sequentially in [order]. *)
-val wavefront_sharded :
-  jobs:int ->
-  owners:int array ->
-  order:int array ->
-  deps:int list array ->
-  dependents:int list array ->
-  (int -> unit) ->
-  unit

@@ -435,9 +435,9 @@ let memo_add (p : Ssa.proc) ~entry ~cdv r =
     end
     else entries
   in
-  (* Single-word store of an immutable list: concurrent writers (two
-     domains analysing the same proc, which the wavefront never schedules)
-     could at worst drop each other's entry, never corrupt one. *)
+  (* Single-word store of an immutable list.  One domain at a time runs a
+     given SSA form — the FS traversal is sequential, and the harness
+     fan-out gives every program its own context — so nothing races it. *)
   p.Ssa.memo <- Scc_memo entries
 
 (** Drop every memoized entry-vector context of one procedure.  The next

@@ -157,13 +157,11 @@ let outcome_json = function
       [ ("outcome", Json.Str "rebuilt"); ("reason", Json.Str reason) ]
 
 (* The trace counters a serve client cares about: incremental re-solve
-   volume, SCC memo behaviour, and sharded-wavefront progress (procedures
-   solved, cross-shard handoffs, frontier high-water mark). *)
+   volume and SCC memo behaviour. *)
 let traced_counters =
   [
     "fs.resolve.dirty"; "fs.resolve.reused"; "scc.runs"; "scc.memo_hits";
-    "scc.memo_evictions"; "scc.block_visits"; "par.shard.solved";
-    "par.shard.handoffs"; "par.shard.frontier_peak";
+    "scc.memo_evictions"; "scc.block_visits";
   ]
 
 let handle_one (st : state) (req : Json.t) : Json.t =

@@ -86,6 +86,24 @@ let test_driver_floats_toggle () =
   Alcotest.(check int) "censored with floats off" 0
     (List.length (Solution.constant_formals without_f.Driver.fs))
 
+(* Every phase runs on the calling domain, so its allocation is read where
+   it happened even when [jobs] fans work out inside other phases. *)
+let test_driver_allocation_at_jobs () =
+  let b = List.hd Spec.suite in
+  let d = Driver.run ~jobs:4 (Spec.program b) in
+  List.iter
+    (fun phase ->
+      match
+        List.find_opt (fun t -> t.Driver.t_phase = phase) d.Driver.timings
+      with
+      | None -> Alcotest.failf "phase %s missing" phase
+      | Some t ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s minor words > 0 at jobs=4" phase)
+            true
+            (t.Driver.t_minor_words > 0.0))
+    [ "1:ipa-collect"; "2:call-graph" ]
+
 (* Harness smoke tests: each artefact builds and has the expected shape.
    These run on the small first-release subset to keep the suite fast. *)
 
@@ -140,6 +158,8 @@ let suite =
     Alcotest.test_case "driver timings" `Quick test_driver_times_nonnegative;
     Alcotest.test_case "timing accessors" `Quick test_timing_accessors;
     Alcotest.test_case "driver floats toggle" `Quick test_driver_floats_toggle;
+    Alcotest.test_case "driver allocation at jobs=4" `Quick
+      test_driver_allocation_at_jobs;
     Alcotest.test_case "harness: candidates table" `Slow
       test_harness_candidates_table;
     Alcotest.test_case "harness: propagated table" `Slow

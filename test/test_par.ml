@@ -1,8 +1,8 @@
 (** Tests for the {!Fsicp_par.Par} primitives and for the determinism
-    contract of the parallel pipeline: solving with any number of worker
-    domains must produce exactly the same {!Solution.t} as the sequential
-    path ([jobs = 1]), on every suite program and on generated programs
-    including cyclic PCGs. *)
+    contract of the parallel layers: building the context and solving with
+    any number of worker domains must produce exactly the same
+    {!Solution.t} as the one-domain path ([jobs = 1]), on every suite
+    program and on generated programs including cyclic PCGs. *)
 
 open Fsicp_core
 open Fsicp_workloads
@@ -89,14 +89,6 @@ let test_map_list () =
         (Par.map_list ~jobs (fun x -> x * x) l))
     [ 1; 2; 4 ]
 
-let test_both () =
-  List.iter
-    (fun jobs ->
-      let a, b = Par.both ~jobs (fun () -> 41) (fun () -> "x") in
-      Alcotest.(check int) "first thunk" 41 a;
-      Alcotest.(check string) "second thunk" "x" b)
-    [ 1; 2 ]
-
 let test_exception_propagates () =
   List.iter
     (fun jobs ->
@@ -110,44 +102,6 @@ let test_exception_propagates () =
             (Printf.sprintf "exception re-raised (jobs=%d)" jobs)
             "boom" m)
     [ 1; 4 ]
-
-(* A diamond with a tail: 0 → {1,2} → 3 → 4, plus the skew edge 0 → 4. *)
-let diamond_deps = [| []; [ 0 ]; [ 0 ]; [ 1; 2 ]; [ 3; 0 ] |]
-let diamond_dependents = [| [ 1; 2; 4 ]; [ 3 ]; [ 3 ]; [ 4 ]; [] |]
-let diamond_order = [| 0; 1; 2; 3; 4 |]
-
-let test_wavefront_sequential_order () =
-  (* jobs=1 must visit nodes in exactly the given topological order. *)
-  let visited = ref [] in
-  Par.wavefront ~jobs:1 ~order:diamond_order ~deps:diamond_deps
-    ~dependents:diamond_dependents (fun i -> visited := i :: !visited);
-  Alcotest.(check (list int))
-    "sequential wavefront = order array" [ 0; 1; 2; 3; 4 ]
-    (List.rev !visited)
-
-let test_wavefront_respects_deps () =
-  List.iter
-    (fun jobs ->
-      let m = Mutex.create () in
-      let finished = Array.make 5 false in
-      let violation = ref false in
-      Par.wavefront ~jobs ~order:diamond_order ~deps:diamond_deps
-        ~dependents:diamond_dependents (fun i ->
-          Mutex.lock m;
-          List.iter
-            (fun d -> if not finished.(d) then violation := true)
-            diamond_deps.(i);
-          Mutex.unlock m;
-          Mutex.lock m;
-          finished.(i) <- true;
-          Mutex.unlock m);
-      Alcotest.(check bool)
-        (Printf.sprintf "dependencies complete before dispatch (jobs=%d)" jobs)
-        false !violation;
-      Alcotest.(check bool)
-        "every node processed" true
-        (Array.for_all Fun.id finished))
-    [ 1; 2; 4 ]
 
 (* -- solution equality ---------------------------------------------------- *)
 
@@ -283,13 +237,8 @@ let suite =
       test_default_jobs_env;
     Alcotest.test_case "parallel_init = Array.init" `Quick test_parallel_init;
     Alcotest.test_case "map_list = List.map" `Quick test_map_list;
-    Alcotest.test_case "both returns both results" `Quick test_both;
     Alcotest.test_case "worker exception re-raised" `Quick
       test_exception_propagates;
-    Alcotest.test_case "wavefront jobs=1 follows order" `Quick
-      test_wavefront_sequential_order;
-    Alcotest.test_case "wavefront dependency discipline" `Quick
-      test_wavefront_respects_deps;
     Alcotest.test_case "suite programs: jobs equivalence" `Slow
       test_suite_jobs_equivalent;
     prop_generated_jobs_equivalent;

@@ -257,6 +257,15 @@ let test_dispatch_session () =
     (Json.str_member "digest" (req st2 {|{"cmd":"digest"}|}));
   let stats = req st {|{"cmd":"stats"}|} in
   Alcotest.(check bool) "stats ok" true (ok_of stats);
+  Alcotest.(check (list string))
+    "stats reports exactly the serve counters"
+    [
+      "fs.resolve.dirty"; "fs.resolve.reused"; "scc.runs"; "scc.memo_hits";
+      "scc.memo_evictions"; "scc.block_visits";
+    ]
+    (match Json.member "counters" stats with
+    | Some (Json.Obj kvs) -> List.map fst kvs
+    | _ -> Alcotest.fail "stats has no counters object");
   Alcotest.(check bool) "shutdown latches" false st.Protocol.stop;
   Alcotest.(check bool) "shutdown ok" true
     (ok_of (req st {|{"cmd":"shutdown"}|}));
